@@ -176,7 +176,7 @@ class Ergo(Defense):
         for _attempt in range(self.config.max_good_retries):
             cost = self.quote_entrance_cost()
             unique = self.ids.issue(proposed)
-            self.accountant.charge_good(unique, cost, category="entrance")
+            self.accountant.charge_good(cost, category="entrance")
             if classifier is not None and not classifier.classify_good(self._rng):
                 # Misclassified: refused entry despite paying; retry as a
                 # fresh ID (Section 10.1, ERGO-SF).
@@ -267,7 +267,7 @@ class Ergo(Defense):
                     issue(p if p is not None else "g")
                     for p in idents[i : i + k]
                 ]
-            accountant.charge_good_batch(uniques, costs, "entrance")
+            accountant.charge_good_batch(costs, "entrance")
             add_batch(uniques, True, chunk)
             admitted += uniques
             self._joins_in_iter += k
@@ -313,7 +313,7 @@ class Ergo(Defense):
             cost = quote()
             proposed = idents[i] if idents is not None else None
             unique = issue(proposed if proposed is not None else "g")
-            charge(unique, cost, "entrance")
+            charge(cost, "entrance")
             good_join(unique, t)
             window.record(t, 1)
             self._joins_in_iter += 1

@@ -79,7 +79,7 @@ class Defense(abc.ABC):
         count = 0
         for ident in idents:
             self.population.good_join(ident, self.now)
-            self.accountant.charge_good(ident, 1.0, category="init")
+            self.accountant.charge_good(1.0, category="init")
             count += 1
         self.after_bootstrap(count)
 
@@ -208,10 +208,10 @@ class Defense(abc.ABC):
         Observably equivalent to the default loop for any defense whose
         ``process_good_join`` charges a flat ``cost`` and does no other
         bookkeeping (SybilControl, REMP): each row keeps its own
-        timestamp and per-ID ledger entry, but names, charges, and
-        membership go through the whole-run batch APIs
-        (``IdentityFactory.issue_batch``, ``charge_good_batch``,
-        ``MembershipSet.add_batch``) instead of per-row calls.
+        timestamp and charge, but names, charges, and membership go
+        through the whole-run batch APIs (``IdentityFactory.issue_batch``,
+        ``charge_good_batch``, ``MembershipSet.add_batch``) instead of
+        per-row calls.
         """
         k = len(times)
         if idents is None:
@@ -221,7 +221,7 @@ class Defense(abc.ABC):
             uniques = [
                 issue(ident if ident is not None else "g") for ident in idents
             ]
-        self.accountant.charge_good_batch(uniques, [cost] * k, "entrance")
+        self.accountant.charge_good_batch([cost] * k, "entrance")
         self.population.good.add_batch(uniques, True, times)
         return uniques
 

@@ -31,7 +31,7 @@ Two interchangeable storage backends implement the same public API:
 
 * :class:`ArenaMembershipSet` (the default) -- a slot-interned
   **arena**: idents are interned to integer slot indices, per-member
-  fields live in parallel slot-indexed arrays (``is_good`` /
+  fields live in parallel slot-indexed typed columns (``is_good`` /
   ``joined_at`` / ``serial``), freed slots are recycled through a
   free-list, and the good population is a dense slot array supporting
   O(1) uniform selection.  Whole-run batch mutators
@@ -50,6 +50,7 @@ byte-identical metrics under either -- enforced by
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -157,6 +158,24 @@ class SymmetricDifferenceTracker:
         return self._departed
 
 
+#: ``_good_pos`` filler for bad members (never read: only good slots
+#: have a position in the dense good list)
+_NO_POS = array("q", [-1])
+
+
+def _extend_ramp(column: array, start: int, count: int) -> None:
+    """``column.extend(range(start, start + count))``, done fast.
+
+    A typed array converts Python ints one at a time through the
+    argument parser; past a handful of rows one numpy ``arange`` copied
+    in as raw bytes is several times cheaper.
+    """
+    if count < 8:
+        column.extend(range(start, start + count))
+    else:
+        column.frombytes(np.arange(start, start + count, dtype=np.int64).tobytes())
+
+
 class ArenaMembershipSet:
     """The server's membership view, stored as a slot-interned arena.
 
@@ -168,13 +187,23 @@ class ArenaMembershipSet:
     the same positional order as the dict backend's good list, so
     ``random_good`` draws are backend-independent.
 
-    The parallel arrays are CPython lists rather than numpy buffers: the
-    engine's real workload mixes whole-run batches with single-row
-    mutations (run lengths of 5-10 are typical once session departures
-    interleave), and list slice-assignment gives the batch mutators
-    C-level fills while keeping scalar reads/writes ~4x cheaper than
-    numpy element access.  Numpy enters for the aggregate math (tracker
-    batch updates, the window counter) where whole-array operations pay.
+    The numeric columns are stdlib typed buffers -- ``array('q')`` for
+    serials and the good list's slots and positions, ``array('d')`` for
+    join times, a ``bytearray`` for the good flags -- which store one
+    raw machine value per slot where a list stores a pointer to a boxed
+    int or float.  That halves the arena's footprint: ~113 B/member
+    under ``tracemalloc`` on CPython 3.11 against ~218 B for lists,
+    most of what remains being the ident dict and its boxed slot ints.
+    Like lists, and unlike numpy buffers, they append and pop in O(1)
+    with cheap scalar access, which the engine's mix of whole-run
+    batches and single-row mutations needs (run lengths of 5-10 are
+    typical once session departures interleave).  The price is a
+    conversion on each scalar store: ``make bench-membership`` reads
+    per-row ``add`` ~17% slower than on lists, while whole-run joins,
+    filled from numpy ramps, and removals read no slower (EXPERIMENTS.md,
+    "Memory footprint").
+    Numpy also enters for the aggregate math (tracker batch updates,
+    the window counter) where whole-array operations pay.
 
     Supports O(1) joins/removals, O(1) uniform random selection of a
     good ID (the ABC model's departure rule), any number of attached
@@ -186,13 +215,13 @@ class ArenaMembershipSet:
     def __init__(self) -> None:
         self._slot_of: Dict[str, int] = {}
         self._idents: List[Optional[str]] = []
-        self._serials: List[int] = []
-        self._joined: List[float] = []
-        self._good_flags: List[bool] = []
+        self._serials = array("q")
+        self._joined = array("d")
+        self._good_flags = bytearray()
         #: dense array of good slots (append order == dict backend's
         #: good list) + slot-indexed positions for swap-removal
-        self._good_slots: List[int] = []
-        self._good_pos: List[int] = []
+        self._good_slots = array("q")
+        self._good_pos = array("q")
         self._free: List[int] = []
         self._bad_count = 0
         self._trackers: Dict[str, SymmetricDifferenceTracker] = {}
@@ -228,6 +257,8 @@ class ArenaMembershipSet:
         """``add`` minus the duplicate check and tracker feed (batch use)."""
         serial = self._serial + 1
         self._serial = serial
+        good_slots = self._good_slots
+        pos = len(good_slots) if is_good else -1
         free = self._free
         if free:
             slot = free.pop()
@@ -235,17 +266,17 @@ class ArenaMembershipSet:
             self._serials[slot] = serial
             self._joined[slot] = now
             self._good_flags[slot] = is_good
+            self._good_pos[slot] = pos
         else:
             slot = len(self._idents)
             self._idents.append(ident)
             self._serials.append(serial)
             self._joined.append(now)
             self._good_flags.append(is_good)
-            self._good_pos.append(-1)
+            self._good_pos.append(pos)
         self._slot_of[ident] = slot
         if is_good:
-            self._good_pos[slot] = len(self._good_slots)
-            self._good_slots.append(slot)
+            good_slots.append(slot)
         else:
             self._bad_count += 1
 
@@ -277,6 +308,8 @@ class ArenaMembershipSet:
             raise ValueError("duplicate ident within one add_batch call")
         if isinstance(times, np.ndarray):
             times = times.tolist()
+        elif not isinstance(times, list):
+            times = list(times)  # ``array.fromlist`` takes only lists
         serial0 = self._serial
         free = self._free
         reuse = len(free)
@@ -295,22 +328,23 @@ class ArenaMembershipSet:
                 idents_tail = idents
                 times_tail = times
                 kk = k
-            # Contiguous tail: C-level extends, one zip interning pass.
+            # Contiguous tail: C-level fills, one zip interning pass.
             a = len(self._idents)
             b = a + kk
             s0 = self._serial
             self._serial = s0 + kk
             self._idents.extend(idents_tail)
-            self._serials.extend(range(s0 + 1, s0 + kk + 1))
-            self._joined.extend(times_tail)
-            self._good_flags.extend([is_good] * kk)
+            _extend_ramp(self._serials, s0 + 1, kk)
+            self._joined.fromlist(times_tail)
             slot_of.update(zip(idents_tail, range(a, b)))
             if is_good:
                 n = len(self._good_slots)
-                self._good_pos.extend(range(n, n + kk))
-                self._good_slots.extend(range(a, b))
+                self._good_flags += b"\x01" * kk
+                _extend_ramp(self._good_pos, n, kk)
+                _extend_ramp(self._good_slots, a, kk)
             else:
-                self._good_pos.extend([-1] * kk)
+                self._good_flags += bytes(kk)
+                self._good_pos.extend(_NO_POS * kk)
                 self._bad_count += kk
         if self._tracker_list:
             for tr in self._tracker_list:
@@ -337,7 +371,7 @@ class ArenaMembershipSet:
             return None
         member = Member(
             ident=ident,
-            is_good=self._good_flags[slot],
+            is_good=bool(self._good_flags[slot]),
             joined_at=self._joined[slot],
             serial=self._serials[slot],
         )
@@ -418,7 +452,7 @@ class ArenaMembershipSet:
             return None
         return Member(
             ident=ident,
-            is_good=self._good_flags[slot],
+            is_good=bool(self._good_flags[slot]),
             joined_at=self._joined[slot],
             serial=self._serials[slot],
         )
@@ -463,7 +497,7 @@ class ArenaMembershipSet:
         return [
             Member(
                 ident=ident,
-                is_good=good[slot],
+                is_good=bool(good[slot]),
                 joined_at=joined[slot],
                 serial=serials[slot],
             )
@@ -534,6 +568,13 @@ class DictMembershipSet:
                 tracker.on_join(member.serial)
 
     def add_batch(self, idents: Sequence[str], is_good: bool, times) -> None:
+        # Validate the whole run first, as the arena does: a rejected
+        # batch must leave no member admitted and no serial consumed.
+        for ident in idents:
+            if ident in self._members:
+                raise ValueError(f"duplicate ID {ident!r}")
+        if len(set(idents)) != len(idents):
+            raise ValueError("duplicate ident within one add_batch call")
         if isinstance(times, np.ndarray):
             times = times.tolist()
         for ident, t in zip(idents, times):

@@ -1,58 +1,49 @@
 """Cost accounting shared by all defenses.
 
 A single :class:`CostAccountant` is the only place costs are recorded,
-so party-level totals (the paper's ``A`` and ``T``) and per-ID totals
-can never disagree.  Defenses charge through it; experiments read the
+so every defense books the party-level totals (the paper's ``A`` and
+``T``) the same way.  Defenses charge through it; experiments read the
 party-level :class:`~repro.sim.metrics.SpendMeter` objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.sim.metrics import MetricSet
 
 
 class CostAccountant:
-    """Charges resource-burning costs to good IDs or to the adversary.
+    """Charges resource-burning costs to the good party or the adversary.
 
-    Good-ID charges are attributed both to the party meter (for spend
-    rates) and to the individual ID (so tests can verify, e.g., that a
-    good ID pays O(1) to join absent an attack -- Section 1.1).  The
-    adversary is a single colluding entity (Section 2), so its charges
-    are tracked only at the party level.
+    Both parties are charged at the party level only, by category.  The
+    adversary is a single colluding entity (Section 2), and every bound
+    the paper states for good IDs is on their aggregate spend rate, so
+    no per-ID balance is kept.  The per-join entrance cost (a good ID
+    pays O(1) to join absent an attack -- Section 1.1) is still
+    recoverable: the good party's ``"entrance"`` category total divided
+    by the good-join count is its mean.
     """
 
     def __init__(self, metrics: MetricSet) -> None:
         self._metrics = metrics
-        self._per_id: Dict[str, float] = {}
 
-    def charge_good(self, ident: str, amount: float, category: str) -> None:
+    def charge_good(self, amount: float, category: str) -> None:
         if amount < 0:
             raise ValueError(f"negative charge: {amount}")
         self._metrics.good.charge(amount, category)
-        self._per_id[ident] = self._per_id.get(ident, 0.0) + amount
 
-    def charge_good_batch(self, idents, amounts, category: str) -> None:
-        """Charge a run of *fresh* good IDs their per-row amounts.
+    def charge_good_batch(self, amounts, category: str) -> None:
+        """Charge a run of good joins their per-row ``amounts``.
 
-        Float-exact equivalent of per-row :meth:`charge_good` calls
-        (party-meter accumulation happens in sequence order); the per-ID
-        ledger is bulk-updated, which is only correct because joining
-        IDs are always brand new (unique names, Section 2.1.1) and so
-        cannot have a prior balance.
+        Float-exact equivalent of per-row :meth:`charge_good` calls: the
+        party meter accumulates in sequence order.
         """
         self._metrics.good.charge_seq(amounts, category)
-        self._per_id.update(zip(idents, amounts))
 
     def charge_good_bulk(self, count: int, amount_each: float, category: str) -> None:
-        """Charge ``count`` good IDs ``amount_each`` (party meter only).
+        """Charge ``count`` good IDs ``amount_each`` (one meter update).
 
-        Used for purge sweeps, where charging 10^4 IDs individually at
-        10^3 purges/second would dominate the simulation.  Per-ID spend
-        queries therefore reflect entrance/init costs only; purge costs
-        are uniform (1 per purge per present ID) and can be reconstructed
-        from the defense's purge counter when needed.
+        Used for purge sweeps, where charging 10^4 IDs one call at a time
+        at 10^3 purges/second would dominate the simulation.
         """
         if count < 0 or amount_each < 0:
             raise ValueError(f"negative bulk charge: {count} x {amount_each}")
@@ -62,10 +53,6 @@ class CostAccountant:
         if amount < 0:
             raise ValueError(f"negative charge: {amount}")
         self._metrics.adversary.charge(amount, category)
-
-    def spend_of(self, ident: str) -> float:
-        """Total RB cost paid by a specific good ID so far."""
-        return self._per_id.get(ident, 0.0)
 
     @property
     def good_total(self) -> float:

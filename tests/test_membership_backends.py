@@ -153,6 +153,37 @@ class TestScriptEquivalence:
             with pytest.raises(ValueError, match="duplicate"):
                 m.add_batch(["fresh", "dup"], True, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "batch",
+        [["a", "b", "x"], ["a", "b", "a"], ["x"]],
+        ids=["clashes-with-member", "repeats-within-run", "single-row-clash"],
+    )
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_rejected_add_batch_changes_nothing(self, backend, batch):
+        m = BACKENDS[backend]()
+        m.add_batch(["w", "x"], True, [0.0, 0.5])
+        m.attach_tracker("t", SymmetricDifferenceTracker())
+        m.remove("w")
+
+        def state():
+            tr = m.tracker("t")
+            return (
+                len(m),
+                m.all_ids(),
+                m.last_serial,
+                tr.symmetric_difference,
+                tr.joined_since_snapshot,
+                tr.departed_from_snapshot,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="duplicate"):
+            m.add_batch(batch, True, [1.0] * len(batch))
+        assert state() == before
+        # The set is still usable: the rejected idents were not reserved.
+        m.add_batch(["a", "b"], True, [2.0, 2.0])
+        assert m.all_ids() == ["x", "a", "b"]
+
     def test_remove_batch_returns_removed_count(self):
         for cls in BACKENDS.values():
             m = cls()

@@ -12,15 +12,13 @@ def setup():
     return metrics, CostAccountant(metrics)
 
 
-def test_good_charges_hit_party_and_id(setup):
+def test_good_charges_hit_party(setup):
     metrics, accountant = setup
-    accountant.charge_good("alice", 3.0, "entrance")
-    accountant.charge_good("alice", 1.0, "purge")
-    accountant.charge_good("bob", 2.0, "entrance")
+    accountant.charge_good(3.0, "entrance")
+    accountant.charge_good(1.0, "purge")
+    accountant.charge_good(2.0, "entrance")
     assert metrics.good.total == 6.0
-    assert accountant.spend_of("alice") == 4.0
-    assert accountant.spend_of("bob") == 2.0
-    assert accountant.spend_of("carol") == 0.0
+    assert metrics.good.by_category() == {"entrance": 5.0, "purge": 1.0}
 
 
 def test_bulk_charge_hits_party_only(setup):
@@ -39,7 +37,7 @@ def test_adversary_charges(setup):
 
 def test_totals_always_consistent(setup):
     metrics, accountant = setup
-    accountant.charge_good("a", 1.0, "x")
+    accountant.charge_good(1.0, "x")
     accountant.charge_good_bulk(5, 2.0, "y")
     assert accountant.good_total == metrics.good.total == 11.0
 
@@ -47,7 +45,7 @@ def test_totals_always_consistent(setup):
 def test_negative_charges_rejected(setup):
     _, accountant = setup
     with pytest.raises(ValueError):
-        accountant.charge_good("a", -1.0, "x")
+        accountant.charge_good(-1.0, "x")
     with pytest.raises(ValueError):
         accountant.charge_adversary(-1.0, "x")
     with pytest.raises(ValueError):
