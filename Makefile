@@ -72,8 +72,8 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload flash-xl --seconds 1 --seed 7
 	$(PYTHON) perfbench/run.py --workload trace-replay --seconds 1 --seed 7 --trace 1
 
-# Dump the perf trajectory snapshot (engine events/sec, fast-path vs
-# heap-path A/B, sweep wall time).
+# Dump the perf trajectory snapshot (engine events/sec, sweep wall
+# time, checkpoint/snapshot/profiler overheads).
 bench-quick:
 	$(PYTHON) benchmarks/bench_sweep.py --quick --jobs 2 --json BENCH_micro.json
 
@@ -83,7 +83,7 @@ bench-quick:
 bench-scale:
 	$(PYTHON) benchmarks/bench_scale.py --json BENCH_scale.json
 
-# Membership-backend micro (dict vs arena join/remove/random_good);
+# Membership arena micro (join/batch join/remove/random_good ns per op);
 # merges membership_* keys into BENCH_micro.json for the perf trend.
 bench-membership:
 	$(PYTHON) benchmarks/bench_membership.py --json BENCH_micro.json

@@ -1,12 +1,11 @@
-"""Membership-backend microbenchmark: dict vs arena, per-op and batch.
+"""Membership arena microbenchmark: per-op and batch.
 
 The membership layer is the floor under the engine's block fast path
 (every good join/departure lands here), so its per-op cost caps
-simulation throughput.  This micro measures, for both storage backends
-(:class:`~repro.identity.membership.DictMembershipSet` and
-:class:`~repro.identity.membership.ArenaMembershipSet`):
+simulation throughput.  This micro measures, for
+:class:`~repro.identity.membership.ArenaMembershipSet`:
 
-* ``join``        -- per-row ``add`` (the heap path's cost);
+* ``join``        -- per-row ``add`` (single-row mutations);
 * ``join_batch``  -- ``add_batch`` in engine-realistic runs
   (``BATCH`` rows, the block fast path's cost);
 * ``remove``      -- ``remove_batch`` over the same runs, against a
@@ -35,10 +34,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.identity.membership import ArenaMembershipSet, DictMembershipSet
+from repro.identity.membership import ArenaMembershipSet
 from repro.resilience import atomic_write_text
-
-BACKENDS = {"dict": DictMembershipSet, "arena": ArenaMembershipSet}
 
 #: engine-realistic run length (session departures cut block runs to
 #: roughly this size once a crowd's departures start interleaving)
@@ -62,8 +59,8 @@ def _time_ns_per_op(fn: Callable[[], int]) -> float:
     return round(best, 1)
 
 
-def bench_backend(backend: str, n: int) -> Dict[str, float]:
-    cls = BACKENDS[backend]
+def bench_arena(n: int) -> Dict[str, float]:
+    cls = ArenaMembershipSet
     names = [f"g#{i}" for i in range(n)]
     times = [float(i) * 1e-3 for i in range(n)]
 
@@ -104,10 +101,10 @@ def bench_backend(backend: str, n: int) -> Dict[str, float]:
         return draws
 
     return {
-        f"membership_{backend}_join_ns": _time_ns_per_op(join),
-        f"membership_{backend}_join_batch_ns": _time_ns_per_op(join_batch),
-        f"membership_{backend}_remove_ns": _time_ns_per_op(remove),
-        f"membership_{backend}_random_good_ns": _time_ns_per_op(random_good),
+        "membership_arena_join_ns": _time_ns_per_op(join),
+        "membership_arena_join_batch_ns": _time_ns_per_op(join_batch),
+        "membership_arena_remove_ns": _time_ns_per_op(remove),
+        "membership_arena_random_good_ns": _time_ns_per_op(random_good),
     }
 
 
@@ -126,13 +123,7 @@ def main(argv: List[str] = None) -> dict:
     json_path = opt("--json", "BENCH_micro.json")
 
     metrics: Dict[str, float] = {"membership_bench_n": n}
-    for backend in BACKENDS:
-        metrics.update(bench_backend(backend, n))
-    batch = metrics["membership_arena_join_batch_ns"]
-    if batch:
-        metrics["membership_arena_batch_speedup"] = round(
-            metrics["membership_dict_join_ns"] / batch, 2
-        )
+    metrics.update(bench_arena(n))
 
     # Merge into the existing micro snapshot rather than replacing it:
     # bench-quick owns the engine/sweep keys, this target the

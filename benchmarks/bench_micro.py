@@ -110,33 +110,6 @@ def bench_engine_event_loop(benchmark):
     assert result.counters["queue_max_size"] < 100
 
 
-def bench_engine_event_loop_heap_path(benchmark):
-    """The same workload with the fast path disabled (the A/B baseline)."""
-    n_joins, horizon = 10_000, 2_500.0
-    step = horizon / n_joins
-    block = ChurnBlock(
-        (np.arange(n_joins) + 1) * step,
-        np.zeros(n_joins, dtype=np.uint8),
-        sessions=np.full(n_joins, 50.0 * step),
-    )
-
-    def run():
-        sim = Simulation(
-            SimulationConfig(
-                horizon=horizon, tick_interval=1.0, seed=1,
-                churn_fast_path=False,
-            ),
-            NullDefense(),
-            [block],
-            adversary=GreedyJoinAdversary(rate=0.5),
-        )
-        return sim.run()
-
-    result = benchmark(run)
-    assert result.counters["churn_events_fast"] == 0
-    assert result.counters["queue_pops"] > n_joins + horizon / 1.0
-
-
 def bench_event_queue(benchmark):
     def run():
         queue = EventQueue()

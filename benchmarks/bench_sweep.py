@@ -6,34 +6,25 @@ Three measurements:
    sessions, one recurring tick, a budget-limited greedy adversary)
    against :class:`repro.sim.null_defense.NullDefense`, so the number is
    dominated by the engine loop itself rather than defense bookkeeping.
-   The workload is fed as a :class:`~repro.sim.blocks.ChurnBlock` and
-   measured twice: through the zero-heap fast path
-   (``engine_events_per_sec``) and with the fast path disabled so every
-   row goes through the heap as an ``Event``
-   (``engine_events_per_sec_heap``).  Events/sec counts *logical* events
-   processed: ``queue_pops + churn_events_fast``.
+   The workload is fed as a :class:`~repro.sim.blocks.ChurnBlock`
+   through the zero-heap fast path (``engine_events_per_sec``).
+   Events/sec counts *logical* events processed:
+   ``queue_pops + churn_events_fast``.
 
-2. **Fast-path equivalence** -- the quick Figure 8 sweep run serially
-   with the fast path on and off; rows must match on every simulated
-   quantity (``sweep_fastpath_rows_identical``).  Scheduling diagnostics
-   (``queue_*``, ``churn_events_*``) are excluded from the comparison --
-   they describe *how* events were processed, which is exactly what
-   differs between the paths.
-
-3. **Sweep wall time** -- the same sweep serially (``jobs=1``) and
+2. **Sweep wall time** -- the same sweep serially (``jobs=1``) and
    through the :mod:`repro.experiments.parallel` process pool, with a
    full row-for-row equality check (counters included: both runs take
    the same path).  When the requested ``--jobs`` exceeds the machine's
    cores the comparison is marked ``"skipped (insufficient cores)"``
    instead of recording a meaningless slowdown.
 
-4. **Checkpoint journaling overhead** -- the same serial sweep re-run
+3. **Checkpoint journaling overhead** -- the same serial sweep re-run
    with a checkpoint journal enabled.  Reports the journaling wall
    share (``sweep_checkpoint_overhead_pct``; the perf trend flags it
    above 5%) and verifies the checkpointed rows are identical to the
    plain run's (``sweep_checkpoint_rows_identical``).
 
-5. **Snapshot emission overhead** -- the engine-loop workload from (1)
+4. **Snapshot emission overhead** -- the engine-loop workload from (1)
    run with live telemetry on (``SnapshotPolicy(sim_interval=1.0)``,
    one snapshot per simulated second) vs off, best-of-N A/B.
    ``snapshot_overhead_pct`` is the extra wall share; the perf trend
@@ -41,7 +32,7 @@ Three measurements:
    (``snapshot_metrics_identical``) -- the hook's determinism
    contract.
 
-6. **Profiler A/B** -- the same engine-loop workload with span
+5. **Profiler A/B** -- the same engine-loop workload with span
    attribution (:mod:`repro.profiling`) off vs on, interleaved
    best-of-N.  ``profiler_metrics_identical`` is the guard (profiling
    must never perturb the simulation); ``profiler_on_overhead_pct`` is
@@ -76,9 +67,8 @@ from repro.profiling import ProfilePolicy
 from repro.experiments.config import Figure8Config
 from repro.experiments.parallel import parse_jobs
 from repro.resilience import atomic_write_text
-from repro.sim import engine
 from repro.sim.blocks import ChurnBlock
-from repro.sim.engine import PATH_COUNTERS, Simulation, SimulationConfig
+from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.metrics import SnapshotPolicy
 from repro.sim.null_defense import NullDefense
 
@@ -94,93 +84,40 @@ def churn_block(n_joins: int, horizon: float) -> ChurnBlock:
 
 def engine_throughput(n_joins: int = 20_000, horizon: float = 5_000.0,
                       repeats: int = 5) -> dict:
-    """Best-of-N events/sec for the engine-loop workload, both paths."""
+    """Best-of-N events/sec for the engine-loop workload."""
     block = churn_block(n_joins, horizon)
-    report = {}
-    for label, fast in (("engine_events_per_sec", True),
-                        ("engine_events_per_sec_heap", False)):
-        best_eps = 0.0
-        events = 0
-        for _ in range(repeats):
-            sim = Simulation(
-                SimulationConfig(
-                    horizon=horizon, tick_interval=1.0, seed=1,
-                    churn_fast_path=fast,
-                ),
-                NullDefense(),
-                [block],
-                adversary=GreedyJoinAdversary(rate=0.5),
-            )
-            start = time.perf_counter()
-            result = sim.run()
-            elapsed = time.perf_counter() - start
-            events = (
-                result.counters["queue_pops"]
-                + result.counters["churn_events_fast"]
-            )
-            best_eps = max(best_eps, events / elapsed)
-        report[label] = round(best_eps)
-        if fast:
-            report["engine_events"] = events
-            report["engine_queue_max_size"] = result.counters["queue_max_size"]
-            report["engine_churn_fast"] = result.counters["churn_events_fast"]
-            assert result.counters["churn_events_fast"] == n_joins, (
-                "fast path did not engage for the block workload"
-            )
-        else:
-            assert result.counters["churn_events_fast"] == 0, (
-                "fast path ran with churn_fast_path=False"
-            )
-    report["engine_fastpath_speedup"] = round(
-        report["engine_events_per_sec"] / report["engine_events_per_sec_heap"], 2
-    )
-    return report
-
-
-def strip_path_counters(rows):
-    """Rows reduced to simulated quantities only (for path A/B checks)."""
-    stripped = []
-    for row in rows:
-        counters = {
-            k: v for k, v in row.counters.items() if k not in PATH_COUNTERS
-        }
-        stripped.append(
-            (
-                row.network,
-                row.defense,
-                row.t_rate,
-                row.good_spend_rate,
-                row.adversary_spend_rate,
-                row.max_bad_fraction,
-                row.final_size,
-                counters,
-            )
+    best_eps = 0.0
+    for _ in range(repeats):
+        sim = Simulation(
+            SimulationConfig(horizon=horizon, tick_interval=1.0, seed=1),
+            NullDefense(),
+            [block],
+            adversary=GreedyJoinAdversary(rate=0.5),
         )
-    return stripped
-
-
-def fastpath_equivalence(config: Figure8Config):
-    """Quick sweep with the fast path on vs off: rows must match.
-
-    Returns the report fields plus the timed fast-path serial run, which
-    :func:`sweep_times` reuses as its serial baseline (so each bench
-    invocation pays two serial sweeps, not three).
-    """
-    start = time.perf_counter()
-    rows_fast = figure8.run(config, jobs=1)
-    serial_s = time.perf_counter() - start
-    prev = engine.FAST_PATH_DEFAULT
-    engine.FAST_PATH_DEFAULT = False
-    try:
-        rows_heap = figure8.run(config, jobs=1)
-    finally:
-        engine.FAST_PATH_DEFAULT = prev
-    report = {
-        "sweep_fastpath_rows_identical": (
-            strip_path_counters(rows_fast) == strip_path_counters(rows_heap)
-        ),
+        start = time.perf_counter()
+        result = sim.run()
+        elapsed = time.perf_counter() - start
+        events = (
+            result.counters["queue_pops"] + result.counters["churn_events_fast"]
+        )
+        best_eps = max(best_eps, events / elapsed)
+    assert result.counters["churn_events_fast"] == n_joins, (
+        "fast path did not engage for the block workload"
+    )
+    return {
+        "engine_events_per_sec": round(best_eps),
+        "engine_events": events,
+        "engine_queue_max_size": result.counters["queue_max_size"],
+        "engine_churn_fast": result.counters["churn_events_fast"],
     }
-    return report, rows_fast, serial_s
+
+
+def serial_sweep(config: Figure8Config):
+    """The quick sweep run serially: its rows and wall time, which
+    :func:`sweep_times` and :func:`checkpoint_overhead` compare against."""
+    start = time.perf_counter()
+    rows = figure8.run(config, jobs=1)
+    return rows, time.perf_counter() - start
 
 
 def sweep_times(config: Figure8Config, jobs: int,
@@ -387,8 +324,7 @@ def main(argv: List[str] = None) -> dict:
         )
     report = {"cpu_count": os.cpu_count()}
     report.update(engine_throughput())
-    equivalence, serial_rows, serial_s = fastpath_equivalence(config)
-    report.update(equivalence)
+    serial_rows, serial_s = serial_sweep(config)
     report.update(sweep_times(config, jobs, serial_rows, serial_s))
     report.update(checkpoint_overhead(config, serial_rows))
     report.update(snapshot_overhead())

@@ -35,18 +35,12 @@ from typing import Dict, List, Optional, Tuple
 #: metric name -> (json key, higher_is_better) for the micro snapshot.
 MICRO_METRICS = {
     "engine events/sec (fast path)": ("engine_events_per_sec", True),
-    "engine events/sec (heap path)": ("engine_events_per_sec_heap", True),
-    "fast-path speedup": ("engine_fastpath_speedup", True),
     "quick sweep wall (s)": ("sweep_serial_s", False),
     # membership floor (bench_membership.py merges these keys in)
     "membership arena join (ns)": ("membership_arena_join_ns", False),
     "membership arena batch join (ns)": ("membership_arena_join_batch_ns", False),
     "membership arena remove (ns)": ("membership_arena_remove_ns", False),
     "membership arena random_good (ns)": ("membership_arena_random_good_ns", False),
-    "membership dict-vs-arena batch speedup": (
-        "membership_arena_batch_speedup",
-        True,
-    ),
     "checkpointed quick sweep wall (s)": ("sweep_checkpoint_s", False),
 }
 

@@ -186,8 +186,9 @@ def trace_stats(events: Iterable) -> TraceStats:
             if len(item) == 0:
                 continue
             times = item.times
-            if first is None:
-                first = float(times[0])
+            block_first = float(times[0])
+            if first is None or block_first < first:
+                first = block_first
             block_last = float(times[-1])
             if block_last > last:
                 last = block_last
@@ -205,7 +206,7 @@ def trace_stats(events: Iterable) -> TraceStats:
                 peak.add_block(times[join_mask])
         else:
             event = item
-            if first is None:
+            if first is None or event.time < first:
                 first = event.time
             last = max(last, event.time)
             if isinstance(event, GoodJoin):

@@ -36,8 +36,8 @@ from typing import Deque, Dict, List, Optional
 import numpy as np
 
 from repro.identity.membership import (
+    ArenaMembershipSet,
     SymmetricDifferenceTracker,
-    make_membership_set,
 )
 
 
@@ -151,7 +151,7 @@ class SystemPopulation:
     """
 
     def __init__(self) -> None:
-        self.good = make_membership_set()
+        self.good = ArenaMembershipSet()
         self.bad = AggregateBadPopulation()
         self._combined: List[str] = []
 

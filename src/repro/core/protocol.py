@@ -159,7 +159,8 @@ class Defense(abc.ABC):
     #   per-row result is provably unchanged -- e.g. skipping a
     #   peak-bad-fraction check while the fraction is monotone across
     #   the run, or merging same-time SlidingWindowCounter records.
-    #   Equivalence is enforced by tests/test_engine_fastpath.py.
+    #   tests/test_engine_fastpath.py enforces this against a naive
+    #   per-event simulator that calls only the per-ID hooks.
 
     def process_good_join_batch(self, times, idents=None) -> list:
         """Handle a time-sorted run of good join attempts.
@@ -232,7 +233,7 @@ class Defense(abc.ABC):
         ``process_good_departure`` is select-victim + remove with no
         other bookkeeping: a named victim that already left is a no-op
         either way, and unnamed victims fall back to the per-ID hook so
-        the uniform random draw order matches the per-event path.  Fully
+        the uniform random draw order matches the per-ID loop.  Fully
         named runs (the engine's session-departure drains) go through
         ``MembershipSet.remove_batch`` in one call.
         """

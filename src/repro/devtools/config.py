@@ -7,9 +7,8 @@ repo's contracts are layered:
   compiler, trace ingestion, the adversary, resource burning, and all
   defense code -- may draw randomness only through explicitly seeded
   :class:`numpy.random.Generator` streams and must never read a wall
-  clock.  Same seed, same bytes: that is what makes the
-  ``{dict,arena} x {fast,heap} x jobs x crash-resume`` A/B matrices
-  meaningful.
+  clock.  Same seed, same bytes: that is what makes the engine-vs-
+  oracle, ``jobs`` and crash-resume byte-identity checks meaningful.
 
 * the **wall-clock-legitimate layers** -- the serve vertical, the
   fault-tolerant sweep runtime, the resilience/backoff primitives,

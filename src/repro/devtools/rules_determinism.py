@@ -1,8 +1,9 @@
 """R001 ``determinism`` -- seeded RNG streams are the *only* entropy.
 
-The paper's bankrupting guarantees are reproduced by A/B matrices that
-assert byte-identical metrics across membership backends, engine
-paths, worker counts, and crash-resume.  Those assertions are only
+The paper's bankrupting guarantees are reproduced by checks that
+assert identical metrics between the engine and a naive per-event
+oracle, and byte-identical metrics across worker counts and
+crash-resume.  Those assertions are only
 meaningful if the deterministic core draws every random number from a
 seeded :class:`numpy.random.Generator` (the ``repro.sim.rng`` named
 streams) and never reads a wall clock into a result.  One

@@ -1,15 +1,15 @@
 """R004 ``hook-contracts`` -- batch/per-event defense hook pairing.
 
-The engine's zero-heap fast path applies whole runs of churn rows via
-the batch hooks (``process_good_join_batch``,
-``process_good_departure_batch``, ``process_bad_departure_batch``)
-and falls back to the per-event hooks at run boundaries, heap
-interleavings, and on the heap path.  The A/B equivalence tests assert
-the two paths produce byte-identical metrics -- which silently stops
-being tested the moment a Defense subclass overrides a batch hook
-without also defining the per-event counterpart it is supposed to be
-exactly equivalent to (it would inherit some ancestor's per-event
-semantics while batching its own).
+The engine applies every run of good-churn rows, single rows
+included, via the batch hooks (``process_good_join_batch``,
+``process_good_departure_batch``; scheduled Sybil withdrawals via
+``process_bad_departure_batch``), whose defaults loop over the
+per-event hooks.  The equivalence tests run a naive per-event oracle
+that calls only the per-event good-churn hooks and assert identical
+metrics -- which silently stops being tested the moment a Defense
+subclass overrides a batch hook without also defining the per-event
+counterpart it is supposed to be exactly equivalent to (it would
+inherit some ancestor's per-event semantics while batching its own).
 
 The rule enforces, for every class whose bases look like a Defense:
 
@@ -18,8 +18,8 @@ The rule enforces, for every class whose bases look like a Defense:
 * batch hooks and ``on_snapshot`` bodies must not introduce RNG draws
   -- no use of an ``*rng*``-named object, no ``random``/
   ``numpy.random`` calls.  Snapshot emission and batch application
-  must consume zero randomness, or the fast path and the heap path
-  drift apart (the engine's snapshot hook is documented to read
+  must consume zero randomness, or the fast path and the per-event
+  oracle drift apart (the engine's snapshot hook is documented to read
   counters only), and per-event vs batch runs stop drawing the same
   stream.  Passing an ``rng`` *through* to a per-event helper is
   still a use and is still flagged: the per-event counterpart is

@@ -33,7 +33,6 @@ Design constraints:
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -166,19 +165,6 @@ def build_sweep_specs(
     return specs
 
 
-def execute(
-    specs: Sequence[PointSpec],
-    factory_provider: Callable,
-    provider_arg=None,
-    jobs: int = 1,
-    policy=None,
-) -> List[SweepResult]:
-    """Run every spec, in order, optionally across worker processes."""
-    return execute_report(
-        specs, factory_provider, provider_arg, jobs=jobs, policy=policy
-    ).rows
-
-
 def execute_report(
     specs: Sequence[PointSpec],
     factory_provider: Callable,
@@ -186,48 +172,13 @@ def execute_report(
     jobs: int = 1,
     policy=None,
 ):
-    """Like :func:`execute`, returning the runtime's full ``RunReport``
-    (failure rows, retry/rebuild counts, checkpoint accounting)."""
+    """Run every spec in order, optionally across worker processes.
+
+    Returns the runtime's full ``RunReport``: rows in submission order,
+    failure rows, retry/rebuild counts and checkpoint accounting.
+    """
     tasks = [(spec, factory_provider, provider_arg) for spec in specs]
     return map_report(run_spec, tasks, jobs=jobs, star=True, policy=policy)
-
-
-def default_chunksize(n_items: int, jobs: int) -> int:
-    """Points per IPC round-trip under the *legacy* chunked submission.
-
-    The fault-tolerant runtime submits one future per point -- the
-    unit of retry, timeout, and checkpointing -- so this sizing rule no
-    longer drives submission; it is kept for callers that batch items
-    themselves before handing them to :func:`parallel_map`.
-    """
-    return max(1, math.ceil(n_items / (jobs * 4)))
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int = 1,
-    star: bool = False,
-    chunksize: Optional[int] = None,
-    policy=None,
-) -> List:
-    """Order-preserving (optionally process-parallel) map.
-
-    For experiment harnesses whose per-point result is not a
-    :class:`SweepResult` (figure 9 cells, ablations).  ``fn`` must be a
-    module-level callable and every item picklable; ``star=True``
-    unpacks each item as ``fn(*item)``.
-
-    Execution is delegated to the fault-tolerant runtime
-    (:mod:`repro.experiments.runtime`): one future per point, pool
-    rebuild on worker crash, deterministic retry/backoff, and -- when
-    ``policy`` asks for them -- per-point timeouts and checkpoint/
-    resume.  ``chunksize`` is accepted for backwards compatibility but
-    no longer affects submission (per-point futures are the retry and
-    checkpoint unit).
-    """
-    del chunksize  # legacy knob: the runtime submits per point
-    return map_report(fn, items, jobs=jobs, star=star, policy=policy).rows
 
 
 def map_report(
@@ -239,7 +190,18 @@ def map_report(
     on_row=None,
     on_snapshot=None,
 ):
-    """:func:`parallel_map` returning the runtime's full ``RunReport``.
+    """Order-preserving (optionally process-parallel) map.
+
+    For experiment harnesses whose per-point result is not a
+    :class:`SweepResult` (figure 9 cells, ablations, catalog points).
+    ``fn`` must be a module-level callable and every item picklable;
+    ``star=True`` unpacks each item as ``fn(*item)``.  Execution is
+    delegated to the fault-tolerant runtime
+    (:mod:`repro.experiments.runtime`): one future per point, pool
+    rebuild on worker crash, deterministic retry/backoff, and -- when
+    ``policy`` asks for them -- per-point timeouts and checkpoint/
+    resume.  Returns the runtime's full ``RunReport``; its ``rows`` are
+    in submission order.
 
     ``on_row(index, row)`` is forwarded to the runtime: it fires on the
     coordinator as each row lands (including resumed rows), the hook

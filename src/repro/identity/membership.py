@@ -27,25 +27,21 @@ fact that joining IDs are always brand new (unique names, Section
 of the symmetric difference automatically -- exactly the subtlety the
 paper highlights in Section 8.1.
 
-Two interchangeable storage backends implement the same public API:
+The storage is :class:`ArenaMembershipSet`, a slot-interned **arena**:
+idents are interned to integer slot indices, per-member fields live in
+parallel slot-indexed typed columns (``is_good`` / ``joined_at`` /
+``serial``), freed slots are recycled through a free-list, and the good
+population is a dense slot array supporting O(1) uniform selection.
+Whole-run batch mutators (:meth:`~ArenaMembershipSet.add_batch` /
+:meth:`~ArenaMembershipSet.remove_batch`) replace the per-member
+allocation and bookkeeping that dominated the engine's block fast path,
+which is what makes 10^6-ID populations simulable in seconds.
 
-* :class:`ArenaMembershipSet` (the default) -- a slot-interned
-  **arena**: idents are interned to integer slot indices, per-member
-  fields live in parallel slot-indexed typed columns (``is_good`` /
-  ``joined_at`` / ``serial``), freed slots are recycled through a
-  free-list, and the good population is a dense slot array supporting
-  O(1) uniform selection.  Whole-run batch mutators
-  (:meth:`~ArenaMembershipSet.add_batch` /
-  :meth:`~ArenaMembershipSet.remove_batch`) replace the per-member
-  allocation and bookkeeping that dominated the engine's block fast
-  path, which is what makes 10^6-ID populations simulable in seconds.
-* :class:`DictMembershipSet` -- the original dict-of-:class:`Member`
-  layout, kept as the reference backend for A/B equivalence tests.
-
-Both backends apply identical mutations in identical order (including
-the swap-remove order of the dense good list), so a simulation produces
-byte-identical metrics under either -- enforced by
-``tests/test_membership_backends.py``.
+``tests/reference_sim.py`` holds a deliberately naive reference (a
+dict, a swap-remove good list, and set snapshots for the symmetric
+difference); ``tests/test_membership_backends.py`` checks the arena,
+per-row and batched, against it op for op, including the swap-remove
+order of the good list that seeded ``random_good`` draws depend on.
 """
 
 from __future__ import annotations
@@ -61,10 +57,8 @@ import numpy as np
 class Member:
     """One ID currently in the system.
 
-    Under the arena backend this is a *view* constructed on demand by
-    ``get()`` / ``remove()`` / ``members()``; the live state is in the
-    arena's parallel arrays.  Under the dict backend it is the storage
-    itself (``slots=True`` keeps the layout dict-free).
+    A *view* constructed on demand by ``get()`` / ``remove()`` /
+    ``members()``; the live state is in the arena's parallel arrays.
     """
 
     ident: str
@@ -77,7 +71,7 @@ class SymmetricDifferenceTracker:
     """Tracks ``|S_now △ S_snapshot|`` against a serial watermark.
 
     Owned by a membership set, which feeds it join/departure *serials*
-    (not members: the arena backend never materializes a ``Member`` on
+    (not members: the arena never materializes a ``Member`` on
     the hot path) and its current size.
     """
 
@@ -184,8 +178,8 @@ class ArenaMembershipSet:
     recycled through a LIFO free-list; and the good population is a
     dense slot array (``_good_slots`` + per-slot position index) giving
     O(1) uniform random selection and O(1) swap-removal -- in exactly
-    the same positional order as the dict backend's good list, so
-    ``random_good`` draws are backend-independent.
+    the positional order of a plain swap-remove list, which is what
+    seeded ``random_good`` draws are defined over.
 
     The numeric columns are stdlib typed buffers -- ``array('q')`` for
     serials and the good list's slots and positions, ``array('d')`` for
@@ -218,8 +212,8 @@ class ArenaMembershipSet:
         self._serials = array("q")
         self._joined = array("d")
         self._good_flags = bytearray()
-        #: dense array of good slots (append order == dict backend's
-        #: good list) + slot-indexed positions for swap-removal
+        #: dense array of good slots (append order, swap-removed) +
+        #: slot-indexed positions for swap-removal
         self._good_slots = array("q")
         self._good_pos = array("q")
         self._free: List[int] = []
@@ -519,161 +513,5 @@ class ArenaMembershipSet:
         return self._idents[good_slots[idx]]
 
 
-class DictMembershipSet:
-    """The reference dict-of-:class:`Member` backend.
-
-    Same public API (including the batch mutators, implemented as plain
-    loops) and identical observable behavior as the arena; kept so
-    equivalence tests can A/B the storage layouts.
-    """
-
-    def __init__(self) -> None:
-        self._members: Dict[str, Member] = {}
-        self._good_list: List[str] = []
-        self._good_index: Dict[str, int] = {}
-        self._bad: set = set()
-        self._trackers: Dict[str, SymmetricDifferenceTracker] = {}
-        self._serial = 0
-
-    # -- tracker plumbing --------------------------------------------------
-    def attach_tracker(self, name: str, tracker: SymmetricDifferenceTracker) -> None:
-        tracker.reset(len(self._members), self._serial)
-        self._trackers[name] = tracker
-
-    def tracker(self, name: str) -> SymmetricDifferenceTracker:
-        return self._trackers[name]
-
-    def reset_tracker(self, name: str) -> None:
-        self._trackers[name].reset(len(self._members), self._serial)
-
-    def sym_diff(self, name: str) -> int:
-        return self._trackers[name].symmetric_difference
-
-    # -- mutation ----------------------------------------------------------
-    def add(self, ident: str, is_good: bool, now: float) -> None:
-        if ident in self._members:
-            raise ValueError(f"duplicate ID {ident!r}")
-        self._serial += 1
-        member = Member(
-            ident=ident, is_good=is_good, joined_at=now, serial=self._serial
-        )
-        self._members[ident] = member
-        if is_good:
-            self._good_index[ident] = len(self._good_list)
-            self._good_list.append(ident)
-        else:
-            self._bad.add(ident)
-        if self._trackers:
-            for tracker in self._trackers.values():
-                tracker.on_join(member.serial)
-
-    def add_batch(self, idents: Sequence[str], is_good: bool, times) -> None:
-        # Validate the whole run first, as the arena does: a rejected
-        # batch must leave no member admitted and no serial consumed.
-        for ident in idents:
-            if ident in self._members:
-                raise ValueError(f"duplicate ID {ident!r}")
-        if len(set(idents)) != len(idents):
-            raise ValueError("duplicate ident within one add_batch call")
-        if isinstance(times, np.ndarray):
-            times = times.tolist()
-        for ident, t in zip(idents, times):
-            self.add(ident, is_good, t)
-
-    def remove(self, ident: str) -> Optional[Member]:
-        """Remove ``ident`` if present; return the member or ``None``."""
-        member = self._members.pop(ident, None)
-        if member is None:
-            return None
-        if member.is_good:
-            self._remove_good(ident)
-        else:
-            self._bad.discard(ident)
-        if self._trackers:
-            for tracker in self._trackers.values():
-                tracker.on_depart(member.serial)
-        return member
-
-    def discard(self, ident: str) -> bool:
-        return self.remove(ident) is not None
-
-    def remove_batch(self, idents: Sequence[str]) -> int:
-        removed = 0
-        for ident in idents:
-            if self.remove(ident) is not None:
-                removed += 1
-        return removed
-
-    def _remove_good(self, ident: str) -> None:
-        idx = self._good_index.pop(ident)
-        last = self._good_list.pop()
-        if last != ident:
-            self._good_list[idx] = last
-            self._good_index[last] = idx
-
-    # -- queries -----------------------------------------------------------
-    def __contains__(self, ident: str) -> bool:
-        return ident in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def get(self, ident: str) -> Optional[Member]:
-        return self._members.get(ident)
-
-    @property
-    def size(self) -> int:
-        return len(self._members)
-
-    @property
-    def good_count(self) -> int:
-        return len(self._good_list)
-
-    @property
-    def bad_count(self) -> int:
-        return len(self._bad)
-
-    @property
-    def last_serial(self) -> int:
-        return self._serial
-
-    def bad_fraction(self) -> float:
-        if not self._members:
-            return 0.0
-        return len(self._bad) / len(self._members)
-
-    def good_ids(self) -> List[str]:
-        return list(self._good_list)
-
-    def bad_ids(self) -> List[str]:
-        return list(self._bad)
-
-    def all_ids(self) -> List[str]:
-        return list(self._members)
-
-    def members(self) -> Iterable[Member]:
-        return self._members.values()
-
-    def random_good(self, rng: np.random.Generator) -> Optional[str]:
-        """A good ID selected uniformly at random, or ``None`` if empty."""
-        if not self._good_list:
-            return None
-        idx = int(rng.integers(0, len(self._good_list)))
-        return self._good_list[idx]
-
-
-#: The default storage backend (``"arena"`` or ``"dict"``).  Equivalence
-#: tests flip this module-wide to A/B the layouts; everything routes
-#: through :func:`make_membership_set`.
-MEMBERSHIP_BACKEND_DEFAULT = "arena"
-
-
-def make_membership_set():
-    """Construct a membership set using the module-default backend."""
-    if MEMBERSHIP_BACKEND_DEFAULT == "dict":
-        return DictMembershipSet()
-    return ArenaMembershipSet()
-
-
-#: Backwards-compatible name: the default backend's class.
+#: Backwards-compatible name for :class:`ArenaMembershipSet`.
 MembershipSet = ArenaMembershipSet

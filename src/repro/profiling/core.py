@@ -20,8 +20,8 @@ simulated trajectory (and the final metrics JSON) is byte-identical
 with the profiler on or off.  The wall clock feeds only the profile
 report, never a metric.
 
-Span identity is the call *path* ("engine.run;engine.handle.GoodJoin;
-defense.Ergo.join"), so a span invoked under two different parents is
+Span identity is the call *path* ("engine.run;defense.Ergo.join_batch;
+defense.Ergo.price"), so a span invoked under two different parents is
 accounted separately under each and child totals never exceed their
 parent's -- the additivity invariant the tests assert.
 """
@@ -171,8 +171,7 @@ class ProfileReport(NamedTuple):
 #: fast path exists to avoid.  Used by :func:`span_shares` and the
 #: scale benchmarks' attribution columns.
 HEAP_SPANS = frozenset(
-    ("engine.heap_push", "engine.heap_pop", "engine.heap_drain",
-     "engine.churn_pump")
+    ("engine.heap_push", "engine.heap_pop", "engine.heap_drain")
 )
 
 
@@ -223,7 +222,7 @@ class SpanProfiler:
         self.policy = policy if policy is not None else ProfilePolicy()
         if clock is None:
             # Wall clock feeds only the profile report, never a metric
-            # (the engine's determinism A/B tests prove it).
+            # (the profiling on/off byte-identity tests prove it).
             clock = time.perf_counter  # lint: allow[R001] -- profiler wall-clock telemetry, never read into metrics
         self._clk = clock
         #: path -> [total_s, calls, events, child_s]

@@ -3,7 +3,7 @@
 One scenario x defense x seed triple is a :class:`ScenarioPointSpec` --
 a frozen, picklable coordinate, like the figure sweeps' ``PointSpec`` --
 and :func:`run_scenario_point` is the module-level worker entry, so the
-catalog fans out over :func:`repro.experiments.parallel.parallel_map`
+catalog fans out over :func:`repro.experiments.parallel.map_report`
 with the same determinism story: per-point seeds derived by SHA-256 from
 the run seed and the point coordinates, results collected in submission
 order.  Same seed, same machine => byte-identical metrics JSON.
@@ -116,7 +116,6 @@ def resolve_t_rate(spec: ScenarioSpec, override: Optional[float]) -> float:
 def run_spec_point(
     spec: ScenarioSpec,
     point: ScenarioPointSpec,
-    churn_fast_path: Optional[bool] = None,
     snapshot_policy: Optional[SnapshotPolicy] = None,
     on_snapshot: Optional[Callable] = None,
     profile: Optional[ProfilePolicy] = None,
@@ -124,8 +123,7 @@ def run_spec_point(
     """Simulate one (spec, defense) coordinate; returns a flat row.
 
     This is the registry-free core of :func:`run_scenario_point`:
-    benchmarks and equivalence tests hand it unregistered specs (and an
-    explicit engine-path override for fast-vs-heap A/B runs).  The
+    benchmarks and equivalence tests hand it unregistered specs.  The
     compiled churn is consumed through
     :meth:`~repro.scenarios.compile.CompiledScenario.iter_blocks`, so
     streaming ``TraceReplay`` phases flow to the engine lazily.
@@ -148,7 +146,6 @@ def run_spec_point(
         SimulationConfig(
             horizon=compiled.horizon,
             seed=point.seed,
-            churn_fast_path=churn_fast_path,
             snapshots=snapshot_policy,
             profile=profile,
         ),

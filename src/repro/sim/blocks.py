@@ -178,8 +178,8 @@ def flatten_churn(items: Iterable) -> Iterator[Event]:
     """Per-event view of a mixed stream of events and churn blocks.
 
     ``ChurnScenario.events`` may interleave both shapes; this is the
-    canonical flattener used by the engine's per-event path and the
-    trace utilities.
+    canonical flattener used by the trace utilities and by
+    ``ChurnScenario.replay``.
     """
     for item in items:
         if isinstance(item, ChurnBlock):

@@ -2,9 +2,11 @@
 
 The driver wires together four roles:
 
-* a **churn source** (per-event :class:`~repro.sim.events` iterables or
-  struct-of-arrays :class:`~repro.sim.blocks.ChurnBlock` streams,
-  typically produced by :mod:`repro.churn.generators`),
+* a **churn source** (struct-of-arrays
+  :class:`~repro.sim.blocks.ChurnBlock` streams, typically produced by
+  :mod:`repro.churn.generators`; per-event ``GoodJoin`` /
+  ``GoodDeparture`` items are accepted too and packed into one-row
+  blocks as the loop reaches them),
 * a **defense** (Ergo, CCom, SybilControl, REMP, ... -- anything
   implementing :class:`repro.core.protocol.Defense`),
 * an **adversary** (a :class:`repro.adversary.base.Adversary` deciding
@@ -19,14 +21,16 @@ of the trace.
 
 Hot-path design (this loop runs millions of times per sweep):
 
-* **Zero-heap block fast path** -- when the churn source yields
-  ``ChurnBlock`` batches, runs of good-churn rows that all precede the
-  next heap entry, the adversary's wake time, and the next metrics
-  sample are applied straight from the block through the defense batch
-  hooks (:meth:`~repro.core.protocol.Defense.process_good_join_batch` /
+* **Zero-heap block fast path** -- every good-churn row enters through
+  the block loader, and runs of rows that all precede the next heap
+  entry, the adversary's wake time, and the next metrics sample are
+  applied straight from the block through the defense batch hooks
+  (:meth:`~repro.core.protocol.Defense.process_good_join_batch` /
   ``process_good_departure_batch``): no ``Event`` allocation, no heap
   push/pop.  Batch boundaries are chosen so the observable event order
-  is *identical* to the per-event path (see :meth:`Simulation.run`).
+  is *identical* to a naive per-event heap simulation (see
+  :meth:`Simulation.run`; ``tests/reference_sim.py`` is that
+  simulation, and the tests hold the engine to it).
 * **Tuple-backed session departures** -- a departure the engine
   schedules for an admitted joiner is stored in the heap as a bare
   ident string rather than a frozen ``GoodDeparture`` dataclass, and
@@ -41,14 +45,15 @@ Hot-path design (this loop runs millions of times per sweep):
   :meth:`~repro.adversary.base.Adversary.next_wake` tells the engine the
   earliest time another ``act`` call could matter, so strategies that
   are out of budget (or passive) are not invoked on every event.
-* **Single-event churn lookahead** -- in per-event mode, at most one
-  pending churn event is held outside the heap, so unbounded generators
-  are consumed lazily and far-future events are not pushed early.
+* **Lazy churn sources** -- the loop holds one block outside the heap
+  and loads the next only when the current one is used up, so unbounded
+  generators are consumed lazily and churn rows never enter the heap.
 
 Path accounting: ``churn_events_fast`` counts good-churn rows applied
-via the block fast path; ``churn_events_heap`` counts churn events
-(good joins/departures, bad departures) dispatched from the heap.
-Benchmarks assert on these to verify the fast path actually engages.
+via the block fast path; ``churn_events_heap`` counts churn dispatched
+from the heap (session departures the engine scheduled, bad
+departures).  Benchmarks assert on these to verify the fast path
+actually engages.
 """
 
 from __future__ import annotations
@@ -62,15 +67,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from repro.sim.blocks import ChurnBlock, flatten_churn
+from repro.sim.blocks import ChurnBlock
 from repro.sim.clock import Clock
 from repro.sim.events import (
     BadDeparture,
     BadDepartureBatch,
     Callback,
     Event,
-    GoodDeparture,
-    GoodJoin,
     Tick,
 )
 from repro.sim.metrics import MetricSet, MetricsSnapshot, SnapshotPolicy
@@ -84,15 +87,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: ``Tick`` events run after any same-time protocol event.
 TICK_PRIORITY = 10
 
-#: Module-level default for :attr:`SimulationConfig.churn_fast_path`
-#: (``None`` in the config resolves to this).  Benchmarks flip it to
-#: A/B the block fast path against the per-event path process-wide.
-FAST_PATH_DEFAULT = True
-
 #: Counter keys that describe *how* events were processed (heap traffic,
 #: fast-vs-heap split) rather than the simulated trajectory.  These are
-#: the only counters allowed to differ between the fast path and the
-#: per-event path; equivalence checks strip them before comparing rows.
+#: the only counters allowed to differ from a per-event simulation of
+#: the same run; equivalence checks and result digests strip them.
 PATH_COUNTERS = (
     "queue_pushes",
     "queue_pops",
@@ -185,10 +183,6 @@ class SimulationConfig:
     seed: int = 0
     #: record bad-fraction / system-size samples every this many seconds
     sample_interval: float = 50.0
-    #: apply block-mode churn through the zero-heap fast path.  ``None``
-    #: resolves to :data:`FAST_PATH_DEFAULT`; ``False`` expands blocks
-    #: into per-event objects (the A/B baseline for equivalence tests).
-    churn_fast_path: Optional[bool] = None
     #: emit incremental :class:`~repro.sim.metrics.MetricsSnapshot` rows
     #: through the simulation's ``on_snapshot`` callback (and the
     #: defense's :class:`~repro.sim.tracing.TraceRecorder`, when
@@ -245,17 +239,11 @@ class Simulation:
         self.rngs = rngs if rngs is not None else RngRegistry(config.seed)
         self.defense = defense
         self.adversary = adversary
-        #: raw churn iterator; may yield ``Event`` objects *or*
-        #: ``ChurnBlock`` batches -- the first item decides the mode.
+        #: raw churn iterator; yields ``ChurnBlock`` batches and/or
+        #: per-event good-churn items (see :meth:`_load_next_block`)
         self._churn: Iterator = iter(churn)
         self._churn_done = False
-        #: ``None`` until the first run() sniffs the source; then
-        #: ``"events"`` or ``"blocks"``.
-        self._churn_mode: Optional[str] = None
-        #: at most one churn event held back until the frontier reaches
-        #: it (per-event mode)
-        self._pending_churn: Optional[Event] = None
-        #: current block's rows as plain lists + cursor (block mode)
+        #: current block's rows as plain lists + cursor
         self._block_times: Optional[list] = None
         self._block_kinds: Optional[list] = None
         self._block_sessions: Optional[list] = None
@@ -267,11 +255,11 @@ class Simulation:
         #: 2.1.1 every join is issued a fresh unique name, so a replayed
         #: trace's departure rows (which name the *proposed* ident, e.g.
         #: ``relay-09``) would otherwise never match a member and every
-        #: flap cycle would leak one standing ID.  Both churn paths
-        #: translate named good departures through this map, *popping*
-        #: the entry as they do (a re-departure of the same name is a
-        #: no-op either way); session departures of named joiners clean
-        #: up through ``_alias_owners``.  Memory is therefore bounded by
+        #: flap cycle would leak one standing ID.  The block loop
+        #: translates named good departures through this map, *popping*
+        #: the entry as it does (a re-departure of the same name is a
+        #: no-op); session departures of named joiners clean up through
+        #: ``_alias_owners``.  Memory is therefore bounded by
         #: standing named members, not by total joins.
         self._trace_aliases: dict = {}
         #: admitted unique -> proposed ident, for named joiners whose
@@ -296,7 +284,7 @@ class Simulation:
         self._adversary_wake = float("-inf")
         #: event tallies flushed into MetricSet.counters at summarize
         #: time (a plain int increment is much cheaper than a dict-backed
-        #: counter bump on the per-event path)
+        #: counter bump per event)
         self._good_join_events = 0
         self._good_departure_events = 0
         self._bad_departure_events = 0
@@ -306,13 +294,10 @@ class Simulation:
         #: "fraction of good joins on the fast path")
         self._fast_join_events = 0
         self._handlers: dict = {
-            GoodJoin: self._handle_good_join,
-            GoodDeparture: self._handle_good_departure,
             BadDeparture: self._handle_bad_departure,
             BadDepartureBatch: self._handle_bad_departure_batch,
             Tick: self._handle_tick,
             Callback: self._handle_callback,
-            str: self._handle_session_departure,
             _TickMarker: self._handle_tick_marker,
         }
         defense.bind(self)
@@ -332,39 +317,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # churn source plumbing
     # ------------------------------------------------------------------
-    def _fast_path_enabled(self) -> bool:
-        flag = self.config.churn_fast_path
-        return FAST_PATH_DEFAULT if flag is None else bool(flag)
-
-    def _resolve_churn_mode(self) -> None:
-        """Sniff the churn source on first run: events or blocks.
-
-        The first item decides the mode; mixed streams (which
-        :class:`~repro.churn.traces.ChurnScenario` permits) are handled
-        either way -- block mode packs stray good-churn events into
-        one-row blocks, event mode flattens stray blocks.  Blocks route
-        to the fast path unless it is disabled, in which case they are
-        expanded into a per-event stream so both paths see the identical
-        event order (the A/B harness relies on this).
-        """
-        if self._churn_mode is not None:
-            return
-        first = next(self._churn, None)
-        if isinstance(first, ChurnBlock):
-            blocks = itertools.chain([first], self._churn)
-            if self._fast_path_enabled():
-                self._churn_mode = "blocks"
-                self._churn = iter(blocks)
-            else:
-                self._churn_mode = "events"
-                self._churn = flatten_churn(blocks)
-        else:
-            self._churn_mode = "events"
-            if first is not None:
-                self._pending_churn = first
-            else:
-                self._churn_done = True
-
     def _load_next_block(self) -> bool:
         """Advance to the next non-empty block; ``False`` when exhausted.
 
@@ -374,9 +326,10 @@ class Simulation:
         (``time + session``, ``inf`` for session-less rows) are computed
         vectorized here so the scan and the admission push loop touch
         one precomputed float per row instead of re-deriving it.  A
-        stray per-event item in a block stream is packed into a one-row
-        block (non-churn event types are rejected with ``from_events``'s
-        clear error).
+        per-event item (from an event list, a lazy generator, or a mixed
+        stream) is packed into a one-row block when the loop reaches it,
+        so lazy sources stay lazy; non-churn event types are rejected
+        with ``from_events``'s clear error.
         """
         for block in self._churn:
             if not isinstance(block, ChurnBlock):
@@ -408,37 +361,37 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Execute the simulation until the horizon and summarize.
 
-        **Fast-path equivalence.**  A run of block rows is applied in one
-        batch only when every row in it would also be the next popped
-        event under the per-event path.  The batch is cut before any row
-        that (a) is preceded by a resident heap entry -- at equal times a
-        priority-0 heap entry pushed during an *earlier* instant wins
-        (it was scheduled before the per-event pump would have admitted
-        the row), while a tick (priority 10) or an entry pushed during
-        the current instant loses: the pump admits every churn row due
-        at time t before the first event at t is dispatched, so
-        same-instant pushes always carry higher seqs; (b) reaches the
-        adversary's wake time (``act`` must run first); (c) passes the
-        next metrics sample mark (at most one boundary row is included,
-        then the sample fires, exactly as the per-event loop samples
-        after the crossing event); (d) changes kind (join vs departure
-        runs map to distinct batch hooks); or (e) falls strictly after
-        the earliest session departure another row in the same batch
-        schedules -- a row at *exactly* that departure's time stays in
-        the batch, because the pump admitted it before the departure was
-        pushed.  Cuts are conservative: splitting a batch is always
-        equivalent to the per-event order.
+        **Fast-path equivalence.**  The reference semantics is a naive
+        per-event simulation: a churn pump pushes every row due at or
+        before ``min(heap top, horizon)`` into the heap, and the loop
+        pops and dispatches one entry at a time.  A run of block rows is
+        applied in one batch only when every row in it would also be
+        the next popped event under that simulation.  The batch is cut
+        before any row that (a) is preceded by a resident heap entry --
+        at equal times a priority-0 heap entry pushed during an
+        *earlier* instant wins (it was scheduled before the pump would
+        have admitted the row), while a tick (priority 10) or an entry
+        pushed during the current instant loses: the pump admits every
+        churn row due at time t before the first event at t is
+        dispatched, so same-instant pushes always carry higher seqs;
+        (b) reaches the adversary's wake time (``act`` must run first);
+        (c) passes the next metrics sample mark (at most one boundary
+        row is included, then the sample fires, exactly as the
+        per-event loop samples after the crossing event); (d) changes
+        kind (join vs departure runs map to distinct batch hooks); or
+        (e) falls strictly after the earliest session departure another
+        row in the same batch schedules -- a row at *exactly* that
+        departure's time stays in the batch, because the pump admitted
+        it before the departure was pushed.  Cuts are conservative:
+        splitting a batch is always equivalent to the per-event order.
         """
         config = self.config
         horizon = config.horizon
         sample_interval = config.sample_interval
         self._bootstrap()
         self._arm_tick()
-        self._resolve_churn_mode()
-        # Local bindings for the per-event loop: every attribute chased
-        # here would otherwise be chased once per event.  The churn pump
-        # is inlined as well -- the common case ("held-back event is
-        # still beyond the frontier") is a two-comparison check.
+        # Local bindings for the loop: every attribute chased here would
+        # otherwise be chased once per event.
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
@@ -452,7 +405,6 @@ class Simulation:
         adv_wake = self._adversary_wake if adversary is not None else _INF
         next_sample = self._next_sample
         now = clock._now
-        block_mode = self._churn_mode == "blocks"
         bt = self._block_times
         bk = self._block_kinds
         bs = self._block_sessions
@@ -462,14 +414,6 @@ class Simulation:
         bn = len(bt) if bt is not None else 0
         aliases = self._trace_aliases
         owners = self._alias_owners
-        churn_iter = self._churn
-        pending = self._pending_churn
-        if not block_mode and pending is None and not self._churn_done:
-            pending = next(churn_iter, None)
-            if pending is not None and pending.__class__ is ChurnBlock:
-                # Mixed stream: flatten the remainder into events.
-                churn_iter = flatten_churn(itertools.chain([pending], churn_iter))
-                pending = next(churn_iter, None)
         # Seam bindings: the loop calls these locals instead of chasing
         # attributes, which is also where the profiler hooks in.  With
         # profiling off the raw callables are bound and the loop pays
@@ -487,13 +431,11 @@ class Simulation:
         sample = self._sample_now
         emit_snapshot = self._emit_snapshot
         load_block = self._load_next_block
-        pump_push = heappush
         drain_pop = heappop
         if prof is not None:
             if prof.deep:
                 heappush = prof.wrap_leaf("engine.heap_push", heappush)
                 heappop = prof.wrap_leaf("engine.heap_pop", heappop)
-                pump_push = prof.wrap_leaf("engine.churn_pump", pump_push)
                 drain_pop = prof.wrap_leaf("engine.heap_drain", drain_pop)
             if adv_act is not None:
                 adv_act = prof.wrap("adversary.act", adv_act)
@@ -533,16 +475,16 @@ class Simulation:
             )
         else:
             snap_next_time = snap_next_events = _INF
-        # Same-instant tie tracking (block mode): when the frontier
-        # first reaches a time t, one seq is burned as a watermark;
-        # heap entries pushed during instant t carry seqs >= the
-        # watermark and therefore lose ties to block rows at t (the
-        # per-event pump admits every row due at t -- with lower seqs --
-        # before the first event at t is dispatched).
+        # Same-instant tie tracking: when the frontier first reaches a
+        # time t, one seq is burned as a watermark; heap entries pushed
+        # during instant t carry seqs >= the watermark and therefore
+        # lose ties to block rows at t (the reference pump admits every
+        # row due at t -- with lower seqs -- before the first event at t
+        # is dispatched).
         frontier_time = float("-inf")
         frontier_seq = 0
         while True:
-            if block_mode and bt is None and not self._churn_done:
+            if bt is None and not self._churn_done:
                 if load_block():
                     bt = self._block_times
                     bk = self._block_kinds
@@ -551,25 +493,6 @@ class Simulation:
                     bid = self._block_idents
                     bi = 0
                     bn = len(bt)
-            # Admit every churn event due at or before the frontier
-            # (per-event mode only; block rows never enter the heap).
-            while pending is not None:
-                pull_until = heap[0][0] if heap else horizon
-                if pull_until > horizon:
-                    pull_until = horizon
-                if pending.time > pull_until:
-                    break
-                pump_push(heap, (pending.time, 0, next_seq(), pending))
-                churn_pushes += 1
-                if len(heap) > max_size:
-                    max_size = len(heap)
-                pending = next(churn_iter, None)
-                if pending is not None and pending.__class__ is ChurnBlock:
-                    # Mixed stream: flatten the remainder into events.
-                    churn_iter = flatten_churn(
-                        itertools.chain([pending], churn_iter)
-                    )
-                    pending = next(churn_iter, None)
             # ----------------------------------------------------------
             # block fast path
             # ----------------------------------------------------------
@@ -622,7 +545,7 @@ class Simulation:
                         kind0 = bk[bi]
                         joins = kind0 == 0
                         # Session departures scheduled by batch rows:
-                        # the per-event pump co-admits only equal-time
+                        # the reference pump co-admits only equal-time
                         # rows (its pull bound shrinks to each pushed
                         # row's own time), so a departure scheduled by
                         # a row at an *earlier* instant wins a tie
@@ -755,7 +678,7 @@ class Simulation:
                     f"requested={event_time}"
                 )
             now = clock._now = event_time
-            if block_mode and event_time > frontier_time:
+            if event_time > frontier_time:
                 frontier_time = event_time
                 frontier_seq = next_seq()
             if adversary is not None and event_time >= adv_wake:
@@ -766,21 +689,18 @@ class Simulation:
                 # Session departure: drain the run of consecutive
                 # tuple-backed departures at the heap front.  Bounds
                 # mirror the block batch: stop before the adversary's
-                # wake, a sample mark, or any same/earlier-time churn
-                # row (block row or pending event -- those lose the seq
-                # tie to an already-scheduled departure, so <= is safe).
+                # wake, a sample mark, or any same/earlier-time block
+                # row (a row loses the seq tie to an already-scheduled
+                # departure, so <= is safe).
                 run = None
                 if event_time < next_sample and heap:
                     top = heap[0]
                     if top[3].__class__ is str:
                         t2 = top[0]
                         # Strict bound: a departure at exactly the next
-                        # churn row's (or pending event's) time leaves
-                        # the drain, and the outer loop's tie rules
-                        # decide who goes first.
+                        # block row's time leaves the drain, and the
+                        # outer loop's tie rules decide who goes first.
                         block_bound = bt[bi] if bt is not None else _INF
-                        if pending is not None and pending.time < block_bound:
-                            block_bound = pending.time
                         if t2 < adv_wake and t2 < next_sample and t2 < block_bound:
                             d_times = [event_time]
                             d_ids = [event]
@@ -842,10 +762,6 @@ class Simulation:
         queue.pushes += churn_pushes
         if queue.max_size < max_size:
             queue.max_size = max_size
-        self._pending_churn = pending
-        if not block_mode:
-            self._churn_done = pending is None
-            self._churn = churn_iter
         self._block_times = bt
         self._block_kinds = bk
         self._block_sessions = bs
@@ -911,34 +827,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # event handlers (dispatch table; one per event class)
     # ------------------------------------------------------------------
-    def _handle_good_join(self, event: GoodJoin, now: float) -> None:
-        self._good_join_events += 1
-        admitted_ident = self.defense.process_good_join(event.ident)
-        if admitted_ident is not None:
-            if event.ident is not None:
-                self._trace_aliases[event.ident] = admitted_ident
-            if event.session is not None:
-                depart_at = now + event.session
-                if depart_at <= self.config.horizon:
-                    self.queue.push_departure(depart_at, admitted_ident)
-                    if event.ident is not None:
-                        self._alias_owners[admitted_ident] = event.ident
-
-    def _handle_good_departure(self, event: GoodDeparture, now: float) -> None:
-        self._good_departure_events += 1
-        ident = event.ident
-        if ident is not None:
-            ident = self._trace_aliases.pop(ident, ident)
-        self.defense.process_good_departure(ident)
-
-    def _handle_session_departure(self, ident: str, now: float) -> None:
-        """Out-of-loop dispatch of a tuple-backed session departure."""
-        self._good_departure_events += 1
-        self.defense.process_good_departure(ident)
-        proposed = self._alias_owners.pop(ident, None)
-        if proposed is not None and self._trace_aliases.get(proposed) == ident:
-            del self._trace_aliases[proposed]
-
     def _handle_bad_departure(self, event: BadDeparture, now: float) -> None:
         self._bad_departure_events += 1
         self.defense.process_bad_departure(event.ident)
@@ -989,10 +877,6 @@ class Simulation:
                 self._handlers[cls] = handler
                 return handler
         raise TypeError(f"unhandled event type: {cls.__name__}")
-
-    def _dispatch(self, event) -> None:
-        """Route one event (kept for tests and out-of-loop callers)."""
-        self._handler_for(event.__class__)(event, self.clock.now)
 
     def _snap_thresholds(self, now: float, events_done: int):
         """Next (sim-time, event-count) marks that trigger a snapshot."""
@@ -1088,8 +972,8 @@ class Simulation:
         )
         # Path split: fast = applied straight from blocks (zero heap),
         # heap = dispatched from the queue.  These two are diagnostics of
-        # *how* events were processed; every other counter is identical
-        # between the fast path and the per-event path.
+        # *how* events were processed; every other counter matches a
+        # per-event simulation of the same run.
         counters.add("churn_events_fast", self._fast_churn_events)
         counters.add("churn_events_heap", churn_total - self._fast_churn_events)
         counters.add("good_joins_fast", self._fast_join_events)

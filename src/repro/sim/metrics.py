@@ -167,7 +167,8 @@ class SpendMeter:
         Float-exact equivalent of calling :meth:`charge` per amount (the
         running totals accumulate in the same order), minus the per-call
         overhead -- used by the defenses' whole-run join hooks, where
-        accumulation order must match the per-event path bit for bit.
+        accumulation order must match per-row ``charge`` calls bit for
+        bit.
         """
         total = self._total
         cat_total = self._by_category.get(category, 0.0)
@@ -438,8 +439,7 @@ class SnapshotPolicy:
     strictly *observational*: the engine samples existing counters and
     spend totals at batch boundaries it would have taken anyway, draws
     no RNG, and records nothing into the run's metrics -- so final
-    metrics are byte-identical with snapshots on or off, on both the
-    block fast path and the per-event heap path.
+    metrics are byte-identical with snapshots on or off.
     """
 
     #: emit whenever simulated time advances past the next mark

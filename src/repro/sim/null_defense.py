@@ -4,7 +4,7 @@
 the 1-hard floor, and runs no periodic machinery.  It exists so that
 engine-loop measurements (``benchmarks/bench_micro.py``,
 ``benchmarks/bench_sweep.py``) exercise the *driver* -- heap traffic,
-dispatch, adversary wake-ups, churn pumping, sampling -- rather than any
+dispatch, adversary wake-ups, block loading, sampling -- rather than any
 particular protocol's bookkeeping.
 """
 

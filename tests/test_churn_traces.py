@@ -45,6 +45,16 @@ class TestTraceStats:
         ]
         assert trace_stats(events).peak_joins_1s == 2
 
+    def test_unsorted_events_use_earliest_time(self):
+        # Per-event items may arrive in any order: the trace starts at
+        # the earliest one, not at whichever came first.
+        stats = trace_stats(
+            [GoodJoin(time=5.0), GoodJoin(time=1.0), GoodJoin(time=3.0)]
+        )
+        assert stats.first_time == 1.0
+        assert stats.duration == pytest.approx(4.0)
+        assert stats.join_rate == pytest.approx(0.75)
+
 
 class TestBlockVectorizedStats:
     """Satellite: stats reduce blocks with array ops -- no expansion."""

@@ -1,11 +1,14 @@
-"""Batch fast path vs per-event path: equivalence and engagement.
+"""The engine's batch fast path against the naive per-event oracle.
 
-The engine's zero-heap block fast path must be *observably identical*
-to the per-event path: same spends, same peak bad fraction, same final
-population, same protocol counters -- for every defense, including the
-ones that override the batch hooks with amortized bookkeeping.  Only
-the path-diagnostic counters (queue traffic, ``churn_events_*``) may
-differ, because they describe how events were processed.
+The engine applies runs of churn rows through the defense batch hooks
+and drains runs of session departures in one call; it must stay
+*observably identical* to :class:`tests.reference_sim.ReferenceSimulation`,
+which pops one heap entry per event and calls only the per-event hooks:
+same spends, same peak bad fraction, same final population, same
+protocol counters -- for every defense, including the ones that
+override the batch hooks with amortized bookkeeping.  Only the
+path-diagnostic counters (queue traffic, ``churn_events_*``) may differ,
+because they describe how events were processed.
 """
 
 from typing import Optional
@@ -21,12 +24,28 @@ from repro.churn.generators import smooth_trace
 from repro.core.ergo import Ergo
 from repro.core.protocol import Defense
 from repro.experiments.runner import adversary_for
-from repro.sim import engine
+from repro.scenarios import run as scenario_run
+from repro.scenarios.catalog import get_scenario, scenario_names
+from repro.scenarios.spec import (
+    ATTACK_PROFILES,
+    AttackSchedule,
+    DiurnalCycle,
+    FlashCrowd,
+    MassExodus,
+    PartitionRejoin,
+    ScenarioSpec,
+    SessionSpec,
+    Silence,
+    SteadyState,
+    SybilExodus,
+    TraceReplay,
+)
 from repro.sim.blocks import ChurnBlock, blocks_from_events
 from repro.sim.engine import PATH_COUNTERS, Simulation, SimulationConfig
-from repro.sim.events import Callback, GoodJoin
+from repro.sim.events import Callback, GoodDeparture, GoodJoin
 from repro.sim.null_defense import NullDefense
 from repro.sim.rng import RngRegistry
+from tests.reference_sim import ReferenceSimulation
 
 DEFENSES = {
     "ergo": Ergo,
@@ -35,6 +54,9 @@ DEFENSES = {
     "remp": Remp,
     "null": NullDefense,
 }
+
+
+ENGINES = (Simulation, ReferenceSimulation)
 
 
 def observable(result):
@@ -51,8 +73,26 @@ def observable(result):
     )
 
 
-def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
-                    seed=11):
+def run_spec_result(spec, point, engine=Simulation):
+    """``run_spec_point`` on ``engine``; returns its SimulationResult."""
+    results = []
+
+    class Capture(engine):
+        def run(self):
+            results.append(super().run())
+            return results[-1]
+
+    saved = scenario_run.Simulation
+    scenario_run.Simulation = Capture
+    try:
+        scenario_run.run_spec_point(spec, point)
+    finally:
+        scenario_run.Simulation = saved
+    return results[0]
+
+
+def run_network_sim(defense_name, engine=Simulation, t_rate=50.0,
+                    horizon=150.0, n0=300, seed=11):
     """One gnutella-churn run with a defense-appropriate adversary."""
     registry = RngRegistry(seed=seed)
     scenario = NETWORKS["gnutella"].scenario(
@@ -60,8 +100,8 @@ def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
     )
     defense = DEFENSES[defense_name]()
     adversary = adversary_for(defense, t_rate)
-    sim = Simulation(
-        SimulationConfig(horizon=horizon, seed=seed, churn_fast_path=fast),
+    sim = engine(
+        SimulationConfig(horizon=horizon, seed=seed),
         defense,
         scenario.events,
         adversary=adversary,
@@ -72,26 +112,22 @@ def run_network_sim(defense_name, fast, t_rate=50.0, horizon=150.0, n0=300,
 
 
 class TestNetworkEquivalence:
-    """Batched vs per-event rows across all defenses (satellite contract)."""
+    """Engine vs oracle on gnutella churn, across all five defenses."""
 
     @pytest.mark.parametrize("name", list(DEFENSES))
     def test_paths_are_observably_identical(self, name):
-        fast = run_network_sim(name, fast=True)
-        heap = run_network_sim(name, fast=False)
+        fast = run_network_sim(name)
+        heap = run_network_sim(name, engine=ReferenceSimulation)
         assert observable(fast) == observable(heap)
 
     def test_fast_path_engages_on_blocks(self):
-        result = run_network_sim("null", fast=True)
+        result = run_network_sim("null")
         assert result.counters["churn_events_fast"] > 0
 
-    def test_disabled_fast_path_uses_heap_only(self):
-        result = run_network_sim("null", fast=False)
-        assert result.counters["churn_events_fast"] == 0
-        assert result.counters["churn_events_heap"] > 0
-
     def test_event_totals_are_path_independent(self):
-        fast = run_network_sim("ergo", fast=True)
-        heap = run_network_sim("ergo", fast=False)
+        fast = run_network_sim("ergo")
+        heap = run_network_sim("ergo", engine=ReferenceSimulation)
+        assert heap.counters["churn_events_fast"] == 0
         for key in ("good_join_events", "good_departure_events"):
             assert fast.counters[key] == heap.counters[key]
         total_fast = (
@@ -112,13 +148,9 @@ class TestSmoothTraceEquivalence:
         events = smooth_trace(n0=60, epoch_rates=[2.0, 4.0, 1.0], rng=rng)
         blocks = list(blocks_from_events(events, block_size=32))
         results = []
-        for fast in (True, False):
+        for engine in ENGINES:
             defense = DEFENSES[name]()
-            sim = Simulation(
-                SimulationConfig(horizon=200.0, seed=5, churn_fast_path=fast),
-                defense,
-                blocks,
-            )
+            sim = engine(SimulationConfig(horizon=200.0, seed=5), defense, blocks)
             results.append(sim.run())
         assert observable(results[0]) == observable(results[1])
 
@@ -157,12 +189,11 @@ class RecordingDefense(Defense):
         self.log.append(("tick", now, None))
 
 
-def run_recording(blocks, fast, horizon=20.0, tick=1.0, callbacks=()):
+def run_recording(blocks, engine=Simulation, horizon=20.0, tick=1.0,
+                  callbacks=()):
     defense = RecordingDefense()
-    sim = Simulation(
-        SimulationConfig(
-            horizon=horizon, tick_interval=tick, seed=1, churn_fast_path=fast
-        ),
+    sim = engine(
+        SimulationConfig(horizon=horizon, tick_interval=tick, seed=1),
         defense,
         blocks,
     )
@@ -172,19 +203,23 @@ def run_recording(blocks, fast, horizon=20.0, tick=1.0, callbacks=()):
     return defense.log
 
 
+def recording_logs(blocks, **kwargs):
+    """The RecordingDefense logs of (engine, oracle) on one source."""
+    return [run_recording(blocks, engine, **kwargs) for engine in ENGINES]
+
+
 class TestTotalOrderPreserved:
     """The batch boundaries reproduce the per-event total order exactly."""
 
     def test_joins_departures_ticks_interleave_identically(self):
         # Short sessions force scheduled departures *between* later join
         # rows -- the dep-interleave batch cut must reproduce the exact
-        # ABC-model order the heap path produces.
+        # ABC-model order the oracle produces.
         times = [0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 6.0]
         sessions = [0.6, 3.0, 0.5, float("nan"), 10.0, 0.45, 1.0]
         kinds = [0] * 7
         block = ChurnBlock(times, kinds, sessions=sessions)
-        fast_log = run_recording([block], fast=True)
-        heap_log = run_recording([block], fast=False)
+        fast_log, heap_log = recording_logs([block])
         assert fast_log == heap_log
 
     def test_callbacks_win_seq_ties_against_block_rows(self):
@@ -192,10 +227,7 @@ class TestTotalOrderPreserved:
         # run before a block row at exactly t=2.0, while the tick at 2.0
         # (priority 10) runs after -- in both paths.
         block = ChurnBlock([1.5, 2.0, 2.0], [0, 0, 0])
-        logs = [
-            run_recording([block], fast=fast, callbacks=[(2.0, "x")])
-            for fast in (True, False)
-        ]
+        logs = recording_logs([block], callbacks=[(2.0, "x")])
         assert logs[0] == logs[1]
         events_at_2 = [entry for entry in logs[0] if entry[1] == 2.0]
         assert events_at_2[0][0] == "cb"
@@ -204,12 +236,9 @@ class TestTotalOrderPreserved:
     def test_departure_rows_with_uar_victims_match(self):
         rng = np.random.default_rng(9)
         joins = [GoodJoin(time=0.1 * (i + 1), ident=f"j{i}") for i in range(30)]
-        from repro.sim.events import GoodDeparture
-
         departures = [GoodDeparture(time=4.0 + 0.1 * i) for i in range(10)]
         blocks = list(blocks_from_events(joins + departures, block_size=8))
-        fast_log = run_recording(blocks, fast=True)
-        heap_log = run_recording(blocks, fast=False)
+        fast_log, heap_log = recording_logs(blocks)
         assert fast_log == heap_log
 
     def test_same_instant_session_departure_ties(self):
@@ -221,8 +250,7 @@ class TestTotalOrderPreserved:
         block = ChurnBlock(
             [5.0, 5.0], [0, 0], sessions=[0.0, float("nan")]
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
+        fast_log, heap_log = recording_logs([block], tick=0.0)
         assert fast_log == heap_log
         assert [e[0] for e in fast_log] == ["join", "join", "depart"]
 
@@ -236,8 +264,7 @@ class TestTotalOrderPreserved:
             sessions=[0.0, float("nan")],
             idents=[None, "missing"],
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
+        fast_log, heap_log = recording_logs([block], tick=0.0)
         assert fast_log == heap_log
 
     def test_departure_landing_on_later_row_time(self):
@@ -250,8 +277,7 @@ class TestTotalOrderPreserved:
             [0, 0, 0, 0],
             sessions=[3.0] + [float("nan")] * 3,
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
+        fast_log, heap_log = recording_logs([block], tick=0.0)
         assert fast_log == heap_log
         churn = [(e[0], e[1]) for e in fast_log if e[0] != "tick"]
         assert churn[-2:] == [("depart", 4.0), ("join", 4.0)]
@@ -266,8 +292,7 @@ class TestTotalOrderPreserved:
             [0, 0, 0, 0],
             sessions=[float("nan"), 0.6, float("nan"), float("nan")],
         )
-        fast_log = run_recording([block], fast=True, tick=1.0, horizon=3.0)
-        heap_log = run_recording([block], fast=False, tick=1.0, horizon=3.0)
+        fast_log, heap_log = recording_logs([block], tick=1.0, horizon=3.0)
         assert fast_log == heap_log
         churn = [(e[0], e[1]) for e in fast_log if e[0] != "tick"]
         assert churn[-2:] == [("depart", 0.8), ("join", 0.8)]
@@ -283,13 +308,12 @@ class TestTotalOrderPreserved:
             sessions=[1.0] + [float("nan")] * 3,
             idents=[None, "a", "b", "c"],
         )
-        fast_log = run_recording([block], fast=True, tick=0.0)
-        heap_log = run_recording([block], fast=False, tick=0.0)
+        fast_log, heap_log = recording_logs([block], tick=0.0)
         assert fast_log == heap_log
 
     def test_mixed_event_and_block_streams(self):
         # ChurnScenario documents events as "events and/or churn blocks";
-        # both orderings must work in both modes.
+        # both orderings must match the oracle.
         mixed_event_first = [
             GoodJoin(time=1.0, ident="e0"),
             ChurnBlock([2.0, 3.0], [0, 0], idents=["b0", "b1"]),
@@ -304,12 +328,36 @@ class TestTotalOrderPreserved:
             (mixed_event_first, 4),
             (mixed_block_first, 3),
         ):
-            logs = [
-                run_recording(list(source), fast=fast, tick=0.0)
-                for fast in (True, False)
-            ]
+            logs = recording_logs(list(source), tick=0.0)
             assert logs[0] == logs[1]
             assert len([e for e in logs[0] if e[0] == "join"]) == expected_joins
+
+    def test_lazy_unbounded_event_generator(self):
+        # A per-event generator that never ends: the engine packs each
+        # event into a one-row block only when it reaches it, so the run
+        # stops at the horizon instead of draining the source.
+        def forever():
+            t = 0.0
+            while True:
+                t += 0.7
+                yield GoodJoin(time=t, session=1.5)
+                yield GoodDeparture(time=t + 0.1)
+
+        logs = [run_recording(forever(), engine) for engine in ENGINES]
+        assert logs[0] == logs[1]
+        assert logs[0][-1][1] <= 20.0
+
+    def test_good_join_pushed_into_queue_is_rejected(self):
+        # Good churn enters through the block loader only; a GoodJoin
+        # pushed straight into the heap has no handler.
+        sim = Simulation(
+            SimulationConfig(horizon=5.0, tick_interval=0.0, seed=1),
+            RecordingDefense(),
+            [],
+        )
+        sim.queue.push(GoodJoin(time=1.0))
+        with pytest.raises(TypeError, match="unhandled event type: GoodJoin"):
+            sim.run()
 
     def test_cross_block_disorder_fails_loudly(self):
         block_a = ChurnBlock([5.0, 6.0], [0, 0])
@@ -325,7 +373,7 @@ class TestTotalOrderPreserved:
 
 
 class TestRandomizedOrderEquivalence:
-    """Property-style fuzz: collision-heavy traces, both paths, same log.
+    """Property-style fuzz: collision-heavy traces, engine vs oracle logs.
 
     Times are drawn on a coarse grid so exact ties (rows vs scheduled
     session departures, rows vs ticks) occur constantly -- the regime
@@ -353,12 +401,12 @@ class TestRandomizedOrderEquivalence:
         tick = float(r.choice([0.0, 0.5, 1.0]))
         sample = float(r.choice([1.0, 3.0, 50.0]))
         logs = []
-        for fast in (True, False):
+        for engine in ENGINES:
             defense = RecordingDefense()
-            sim = Simulation(
+            sim = engine(
                 SimulationConfig(
                     horizon=10.0, tick_interval=tick, seed=1,
-                    sample_interval=sample, churn_fast_path=fast,
+                    sample_interval=sample,
                 ),
                 defense,
                 blocks,
@@ -368,34 +416,15 @@ class TestRandomizedOrderEquivalence:
         assert logs[0] == logs[1]
 
 
-class TestModuleDefaultToggle:
-    def test_fast_path_default_flag(self):
-        block = ChurnBlock([1.0, 2.0], [0, 0])
-        prev = engine.FAST_PATH_DEFAULT
-        engine.FAST_PATH_DEFAULT = False
-        try:
-            sim = Simulation(
-                SimulationConfig(horizon=5.0, tick_interval=0.0, seed=1),
-                NullDefense(),
-                [block],
-            )
-            result = sim.run()
-        finally:
-            engine.FAST_PATH_DEFAULT = prev
-        assert result.counters["churn_events_fast"] == 0
-        assert result.counters["good_join_events"] == 2
-
+class TestSamplingGrid:
     def test_sampling_grid_is_path_independent(self):
         rng = np.random.default_rng(2)
         events = smooth_trace(n0=40, epoch_rates=[2.0], rng=rng)
         blocks = list(blocks_from_events(events, block_size=16))
         series = []
-        for fast in (True, False):
-            sim = Simulation(
-                SimulationConfig(
-                    horizon=50.0, sample_interval=3.0, seed=1,
-                    churn_fast_path=fast,
-                ),
+        for engine in ENGINES:
+            sim = engine(
+                SimulationConfig(horizon=50.0, sample_interval=3.0, seed=1),
                 NullDefense(),
                 blocks,
             )
@@ -407,3 +436,83 @@ class TestModuleDefaultToggle:
                 )
             )
         assert series[0] == series[1]
+
+
+class TestCatalogEquivalence:
+    def test_every_catalog_point_matches_oracle(self):
+        points = scenario_run.build_points(
+            scenario_names(), scenario_run.SCENARIO_DEFENSES, seed=2021,
+            n0_scale=0.05,
+        )
+        assert len(points) == 45
+        mismatched = []
+        for point in points:
+            spec = get_scenario(point.scenario)
+            fast = run_spec_result(spec, point)
+            heap = run_spec_result(spec, point, ReferenceSimulation)
+            if observable(fast) != observable(heap):
+                mismatched.append((point.scenario, point.defense))
+        assert mismatched == []
+
+
+#: One random instance of each of the eight phase types.
+PHASES = (
+    lambda r: SteadyState(duration=r.uniform(20, 120),
+                          rate_scale=r.uniform(0.2, 2.0)),
+    lambda r: FlashCrowd(duration=r.uniform(5, 40),
+                         multiplier=r.uniform(0.5, 3.0)),
+    lambda r: DiurnalCycle(duration=r.uniform(50, 200),
+                           amplitude=r.uniform(0.0, 0.9),
+                           period=r.uniform(30, 120)),
+    lambda r: MassExodus(duration=r.uniform(1, 20),
+                         fraction=r.uniform(0.1, 0.8)),
+    lambda r: PartitionRejoin(away=r.uniform(5, 40),
+                              fraction=r.uniform(0.1, 0.6),
+                              exodus_window=r.uniform(1, 10),
+                              rejoin_window=r.uniform(1, 10)),
+    lambda r: Silence(duration=r.uniform(5, 50)),
+    lambda r: TraceReplay(path="tor_relay_flap.csv",
+                          duration=r.uniform(50, 300)),
+    lambda r: SybilExodus(duration=r.uniform(0, 20),
+                          batches=int(r.integers(1, 4))),
+)
+
+
+def random_spec_point(seed):
+    """A seeded random scenario and one (defense, T) coordinate on it."""
+    r = np.random.default_rng(seed)
+    picks = r.integers(0, len(PHASES), int(r.integers(2, 5)))
+    spec = ScenarioSpec(
+        name=f"fuzz-{seed}",
+        description="differential fuzz",
+        phases=tuple(PHASES[i](r) for i in picks),
+        n0=int(r.integers(10, 81)),
+        sessions=SessionSpec(kind="exponential",
+                             mean=float(r.choice([20.0, 200.0, 2000.0]))),
+        attack=AttackSchedule(
+            profile=str(r.choice(ATTACK_PROFILES)),
+            burst_period=r.uniform(10, 60),
+            on=r.uniform(10, 60),
+            off=r.uniform(10, 60),
+        ),
+    )
+    defenses = scenario_run.SCENARIO_DEFENSES
+    point = scenario_run.ScenarioPointSpec(
+        scenario=spec.name,
+        defense=defenses[seed % len(defenses)],
+        seed=seed,
+        t_rate=float(r.choice([16.0, 64.0, 256.0])),
+    )
+    return spec, point
+
+
+class TestSpecFuzz:
+    """Random specs reach wake-ups, scheduled Sybil exoduses and residual
+    departures in combinations no fixed test does."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_spec_matches_oracle(self, seed):
+        spec, point = random_spec_point(seed)
+        fast = run_spec_result(spec, point)
+        heap = run_spec_result(spec, point, ReferenceSimulation)
+        assert observable(fast) == observable(heap)

@@ -104,28 +104,22 @@ class TestParallelMatchesSerial:
 
 class TestParallelMapSmallInputs:
     def test_single_item_stays_serial(self):
-        assert parallel.parallel_map(len, [[1, 2, 3]], jobs=8) == [3]
+        assert parallel.map_report(len, [[1, 2, 3]], jobs=8).rows == [3]
 
     def test_star_unpacks(self):
-        assert parallel.parallel_map(pow, [(2, 3), (3, 2)], jobs=1, star=True) == [8, 9]
+        report = parallel.map_report(pow, [(2, 3), (3, 2)], jobs=1, star=True)
+        assert report.rows == [8, 9]
 
 
 class TestChunkedSubmission:
-    """Points are handed to workers in chunks, preserving order."""
-
-    def test_default_chunksize_amortizes_ipc(self):
-        # points >> workers: several points per chunk
-        assert parallel.default_chunksize(80, 2) == 10
-        # points ~ workers: one per chunk, never zero
-        assert parallel.default_chunksize(3, 4) == 1
-        assert parallel.default_chunksize(1, 1) == 1
+    """Points fanned out over several workers come back in order."""
 
     def test_chunked_map_preserves_order(self):
         items = list(range(23))
-        out = parallel.parallel_map(str, items, jobs=2, chunksize=5)
+        out = parallel.map_report(str, items, jobs=2).rows
         assert out == [str(i) for i in items]
 
     def test_chunked_star_map_preserves_order(self):
         items = [(i, 2) for i in range(17)]
-        out = parallel.parallel_map(pow, items, jobs=2, star=True, chunksize=4)
+        out = parallel.map_report(pow, items, jobs=2, star=True).rows
         assert out == [i * i for i in range(17)]

@@ -1,45 +1,23 @@
-"""Arena vs dict membership backends: byte-for-byte equivalence.
+"""The membership arena against a naive reference set.
 
-The arena rewrite only counts if it is *invisible*: every simulation
-must produce identical metrics under either storage backend, under
-either engine path (block fast path or per-event heap path).  These
-tests A/B the backends through
-
-* randomized op scripts at the membership-API level (per-row vs
-  batched, both backends, including tracker views and seeded
-  ``random_good`` draws),
-* the gnutella-churn network runs of ``test_engine_fastpath`` for every
-  defense, crossed with the fast/heap toggle, and
-* the full scenario catalog at a fixed seed, compared as serialized
-  metrics JSON (the acceptance bar: byte-identical reports).
+The arena only counts if it is *invisible*: per-row and batched
+mutations must leave exactly the state a plain dict-and-list set would
+hold, including the swap-remove order of the good list that seeded
+``random_good`` draws index into, and the symmetric difference its
+serial-watermark trackers report.  Randomized op scripts check this
+against :class:`tests.reference_sim.NaiveMembership`; the simulations
+built on top are checked against the per-event reference engine in
+``test_engine_fastpath.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.identity import membership
 from repro.identity.membership import (
     ArenaMembershipSet,
-    DictMembershipSet,
     SymmetricDifferenceTracker,
 )
-
-BACKENDS = {"arena": ArenaMembershipSet, "dict": DictMembershipSet}
-
-
-@pytest.fixture
-def use_backend(request):
-    """Flip the module-default backend for the duration of a test."""
-
-    def _set(name: str):
-        request.addfinalizer(
-            lambda prev=membership.MEMBERSHIP_BACKEND_DEFAULT: setattr(
-                membership, "MEMBERSHIP_BACKEND_DEFAULT", prev
-            )
-        )
-        membership.MEMBERSHIP_BACKEND_DEFAULT = name
-
-    return _set
+from tests.reference_sim import NaiveMembership
 
 
 def observe(m, rng):
@@ -62,9 +40,9 @@ def observe(m, rng):
     }
 
 
-def apply_script(cls, script, batched: bool):
-    """Run an op script against a fresh set; return observables."""
-    m = cls()
+def apply_script(script, batched: bool):
+    """Run an op script against a fresh arena; return observables."""
+    m = ArenaMembershipSet()
     m.attach_tracker("t", SymmetricDifferenceTracker())
     for op, payload in script:
         if op == "add":
@@ -91,6 +69,21 @@ def apply_script(cls, script, batched: bool):
             m.reset_tracker("t")
     rng = np.random.default_rng(42)
     return observe(m, rng)
+
+
+def apply_naive(script):
+    """The same op script against the naive reference set."""
+    m = NaiveMembership()
+    for op, payload in script:
+        if op in ("add", "add_bad"):
+            for ident, t in zip(*payload):
+                m.add(ident, op == "add", t)
+        elif op == "remove":
+            for ident in payload:
+                m.remove(ident)
+        elif op == "reset":
+            m.reset()
+    return m.observe(np.random.default_rng(42))
 
 
 def random_script(seed: int):
@@ -128,13 +121,9 @@ class TestScriptEquivalence:
     @pytest.mark.parametrize("seed", range(20))
     def test_backends_and_batching_agree(self, seed):
         script = random_script(seed)
-        results = [
-            apply_script(cls, script, batched)
-            for cls in (ArenaMembershipSet, DictMembershipSet)
-            for batched in (False, True)
-        ]
-        for other in results[1:]:
-            assert other == results[0]
+        reference = apply_naive(script)
+        assert apply_script(script, batched=False) == reference
+        assert apply_script(script, batched=True) == reference
 
     def test_arena_recycles_slots(self):
         m = ArenaMembershipSet()
@@ -147,20 +136,18 @@ class TestScriptEquivalence:
         assert m.good_ids() == [f"b{i}" for i in range(10)]
 
     def test_add_batch_rejects_duplicates(self):
-        for cls in BACKENDS.values():
-            m = cls()
-            m.add("dup", True, 0.0)
-            with pytest.raises(ValueError, match="duplicate"):
-                m.add_batch(["fresh", "dup"], True, [1.0, 1.0])
+        m = ArenaMembershipSet()
+        m.add("dup", True, 0.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            m.add_batch(["fresh", "dup"], True, [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "batch",
         [["a", "b", "x"], ["a", "b", "a"], ["x"]],
         ids=["clashes-with-member", "repeats-within-run", "single-row-clash"],
     )
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_rejected_add_batch_changes_nothing(self, backend, batch):
-        m = BACKENDS[backend]()
+    def test_rejected_add_batch_changes_nothing(self, batch):
+        m = ArenaMembershipSet()
         m.add_batch(["w", "x"], True, [0.0, 0.5])
         m.attach_tracker("t", SymmetricDifferenceTracker())
         m.remove("w")
@@ -185,54 +172,14 @@ class TestScriptEquivalence:
         assert m.all_ids() == ["x", "a", "b"]
 
     def test_remove_batch_returns_removed_count(self):
-        for cls in BACKENDS.values():
-            m = cls()
-            m.add_batch(["a", "b", "c"], True, [0.0, 0.0, 0.0])
-            assert m.remove_batch(["a", "ghost", "c"]) == 2
-            assert m.good_ids() == ["b"]
+        m = ArenaMembershipSet()
+        m.add_batch(["a", "b", "c"], True, [0.0, 0.0, 0.0])
+        assert m.remove_batch(["a", "ghost", "c"]) == 2
+        assert m.good_ids() == ["b"]
 
     def test_discard_matches_remove(self):
-        for cls in BACKENDS.values():
-            m = cls()
-            m.add("a", True, 0.0)
-            assert m.discard("a") is True
-            assert m.discard("a") is False
-            assert "a" not in m
-
-
-class TestSimulationEquivalence:
-    """Dict and arena backends drive byte-identical simulations."""
-
-    @pytest.mark.parametrize("defense", ["ergo", "ccom", "null"])
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_network_runs_match(self, defense, fast, use_backend):
-        from tests.test_engine_fastpath import observable, run_network_sim
-
-        use_backend("arena")
-        arena = run_network_sim(defense, fast=fast)
-        use_backend("dict")
-        dict_run = run_network_sim(defense, fast=fast)
-        assert observable(arena) == observable(dict_run)
-
-    @pytest.mark.parametrize("defense", ["sybilcontrol", "remp"])
-    def test_flat_cost_network_runs_match(self, defense, use_backend):
-        from tests.test_engine_fastpath import observable, run_network_sim
-
-        use_backend("arena")
-        arena = run_network_sim(defense, fast=True)
-        use_backend("dict")
-        dict_run = run_network_sim(defense, fast=True)
-        assert observable(arena) == observable(dict_run)
-
-
-class TestCatalogByteIdentity:
-    """The acceptance bar: catalog metrics JSON is byte-identical."""
-
-    def test_full_catalog_reports_match(self, use_backend):
-        from repro.scenarios.run import run_catalog, report_json
-
-        use_backend("arena")
-        arena = report_json(run_catalog(n0_scale=0.05, seed=2021))
-        use_backend("dict")
-        dict_report = report_json(run_catalog(n0_scale=0.05, seed=2021))
-        assert arena == dict_report
+        m = ArenaMembershipSet()
+        m.add("a", True, 0.0)
+        assert m.discard("a") is True
+        assert m.discard("a") is False
+        assert "a" not in m

@@ -19,11 +19,9 @@ def trend():
     return module
 
 
-def _micro(eps=400_000, heap=300_000, speedup=1.4, sweep=7.5):
+def _micro(eps=400_000, sweep=7.5):
     return {
         "engine_events_per_sec": eps,
-        "engine_events_per_sec_heap": heap,
-        "engine_fastpath_speedup": speedup,
         "sweep_serial_s": sweep,
     }
 

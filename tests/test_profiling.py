@@ -1,19 +1,17 @@
 """Cost-attribution profiler: identity, additivity, export, surfaces.
 
 The profiler's load-bearing promise is negative: turning it on changes
-*nothing* about the simulation.  The matrix here crosses that claim
-over {profile on, off} x {dict, arena} membership backends x {fast,
-heap} engine paths x three defenses -- the same A/B surface the
-snapshot-hook tests use.  The positive claims -- additivity of the
-span tree, self-time coverage of the wall, a valid speedscope export,
-the sweep/service plumbing -- are asserted on top.
+*nothing* about the simulation, checked here with profiling on and off
+for three defenses -- the same surface the snapshot-hook tests use.
+The positive claims -- additivity of the span tree, self-time coverage
+of the wall, a valid speedscope export, the sweep/service plumbing --
+are asserted on top.
 """
 
 import json
 
 import pytest
 
-from repro.identity import membership
 from repro.profiling import (
     GRANULARITIES,
     ProfilePolicy,
@@ -39,21 +37,6 @@ N0_SCALE = 0.05
 #: exact sums in theory, but each span boundary pays ~2 clock reads
 #: that land on one side or the other of the subtraction.
 EPS_S = 2e-3
-
-
-@pytest.fixture
-def use_backend(request):
-    """Flip the module-default membership backend for one test."""
-
-    def _set(name: str):
-        request.addfinalizer(
-            lambda prev=membership.MEMBERSHIP_BACKEND_DEFAULT: setattr(
-                membership, "MEMBERSHIP_BACKEND_DEFAULT", prev
-            )
-        )
-        membership.MEMBERSHIP_BACKEND_DEFAULT = name
-
-    return _set
 
 
 def make_point(defense: str, seed: int = 11):
@@ -88,17 +71,10 @@ class TestByteIdentityMatrix:
     """Profiling on vs off: the row must not change by a single byte."""
 
     @pytest.mark.parametrize("defense", ["Null", "ERGO", "SybilControl"])
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "heap"])
-    @pytest.mark.parametrize("backend", ["arena", "dict"])
-    def test_row_identical_with_and_without_profiling(
-        self, use_backend, backend, fast, defense
-    ):
-        use_backend(backend)
+    def test_row_identical_with_and_without_profiling(self, defense):
         spec, point = make_point(defense)
-        base = run_spec_point(spec, point, churn_fast_path=fast)
-        profiled = run_spec_point(
-            spec, point, churn_fast_path=fast, profile=ProfilePolicy()
-        )
+        base = run_spec_point(spec, point)
+        profiled = run_spec_point(spec, point, profile=ProfilePolicy())
         breakdown = profiled.pop("profile")
         assert breakdown["spans"], "profiled run produced no spans"
         assert json.dumps(profiled, sort_keys=True) == json.dumps(

@@ -4,17 +4,14 @@ The hook's contract (:class:`repro.sim.metrics.SnapshotPolicy`):
 emission is purely observational.  The engine samples existing counters
 and spend totals at batch boundaries it would have taken anyway, draws
 no RNG, and records nothing into the run's metrics -- so the final
-metrics row is byte-identical with snapshots on or off.  The matrix
-here crosses that claim over {dict, arena} membership backends x
-{fast, heap} engine paths x three defenses, the same A/B surface the
-backend-equivalence tests use.
+metrics row is byte-identical with snapshots on or off, checked here
+for three defenses.
 """
 
 import json
 
 import pytest
 
-from repro.identity import membership
 from repro.scenarios.catalog import get_scenario
 from repro.scenarios.run import (
     ScenarioPointSpec,
@@ -30,21 +27,6 @@ SCENARIO = "flash-crowd"
 N0_SCALE = 0.05
 
 
-@pytest.fixture
-def use_backend(request):
-    """Flip the module-default membership backend for one test."""
-
-    def _set(name: str):
-        request.addfinalizer(
-            lambda prev=membership.MEMBERSHIP_BACKEND_DEFAULT: setattr(
-                membership, "MEMBERSHIP_BACKEND_DEFAULT", prev
-            )
-        )
-        membership.MEMBERSHIP_BACKEND_DEFAULT = name
-
-    return _set
-
-
 def make_point(defense: str, seed: int = 11):
     spec = get_scenario(SCENARIO)
     point = ScenarioPointSpec(
@@ -57,7 +39,7 @@ def make_point(defense: str, seed: int = 11):
     return spec, point
 
 
-def run_with_snapshots(defense="Null", policy=None, fast=None):
+def run_with_snapshots(defense="Null", policy=None):
     spec, point = make_point(defense)
     if policy is None:
         policy = SnapshotPolicy(sim_interval=5.0)
@@ -65,7 +47,6 @@ def run_with_snapshots(defense="Null", policy=None, fast=None):
     row = run_spec_point(
         spec,
         point,
-        churn_fast_path=fast,
         snapshot_policy=policy,
         on_snapshot=snaps.append,
     )
@@ -151,19 +132,13 @@ class TestByteIdentityMatrix:
     """Snapshots on vs off: the row must not change by a single byte."""
 
     @pytest.mark.parametrize("defense", ["Null", "ERGO", "SybilControl"])
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "heap"])
-    @pytest.mark.parametrize("backend", ["arena", "dict"])
-    def test_row_identical_with_and_without_snapshots(
-        self, use_backend, backend, fast, defense
-    ):
-        use_backend(backend)
+    def test_row_identical_with_and_without_snapshots(self, defense):
         spec, point = make_point(defense)
-        base = run_spec_point(spec, point, churn_fast_path=fast)
+        base = run_spec_point(spec, point)
         snaps = []
         live = run_spec_point(
             spec,
             point,
-            churn_fast_path=fast,
             snapshot_policy=SnapshotPolicy(sim_interval=5.0, every_events=5_000),
             on_snapshot=snaps.append,
         )

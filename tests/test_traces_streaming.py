@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-import repro.identity.membership as membership
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.run import (
     SCENARIO_DEFENSES,
@@ -37,34 +36,20 @@ def _tor_spec(streaming):
     )
 
 
-@pytest.fixture(params=["dict", "arena"])
-def backend(request):
-    prev = membership.MEMBERSHIP_BACKEND_DEFAULT
-    membership.MEMBERSHIP_BACKEND_DEFAULT = request.param
-    yield request.param
-    membership.MEMBERSHIP_BACKEND_DEFAULT = prev
-
-
 class TestByteIdenticalMetrics:
-    """Satellite acceptance: the packaged fixture read via the streaming
-    reader yields byte-identical scenario metrics JSON to the eager
-    path, across both membership backends and both engine paths."""
+    """The packaged fixture read via the streaming reader yields
+    byte-identical scenario metrics JSON to the eager path."""
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_all_defenses_match(self, backend, fast_path):
+    def test_all_defenses_match(self):
         for defense in SCENARIO_DEFENSES:
             point = ScenarioPointSpec(
                 scenario="tor-replay-eq", defense=defense, seed=17, t_rate=64.0
             )
-            eager = run_spec_point(
-                _tor_spec(False), point, churn_fast_path=fast_path
-            )
-            streamed = run_spec_point(
-                _tor_spec(True), point, churn_fast_path=fast_path
-            )
+            eager = run_spec_point(_tor_spec(False), point)
+            streamed = run_spec_point(_tor_spec(True), point)
             assert json.dumps(eager, sort_keys=True) == json.dumps(
                 streamed, sort_keys=True
-            ), (defense, backend, fast_path)
+            ), defense
 
     def test_summaries_match(self):
         rng = np.random.default_rng(4)
@@ -117,8 +102,11 @@ class TestTraceIdentAliasing:
     standing ID.
     """
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_flapping_ident_does_not_leak(self, tmp_path, fast_path):
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_flapping_ident_does_not_leak(self, tmp_path, streaming):
+        # Both loaders carry the trace's idents into the engine: the
+        # eager one through ``blocks_from_events``, the streaming one
+        # through ``TraceBlockStream``'s ident column.
         path = tmp_path / "flap.csv"
         lines = ["time,kind,ident,session"]
         t = 0.0
@@ -130,7 +118,9 @@ class TestTraceIdentAliasing:
         spec = ScenarioSpec(
             name="alias-check",
             description="x",
-            phases=(TraceReplay(path=str(path), duration=100.0),),
+            phases=(
+                TraceReplay(path=str(path), duration=100.0, streaming=streaming),
+            ),
             n0=10,
             # Sessions far beyond the horizon: no background departures
             # muddy the final-size assertion.
@@ -139,15 +129,14 @@ class TestTraceIdentAliasing:
         point = ScenarioPointSpec(
             scenario="alias-check", defense="Null", seed=3, t_rate=0.0
         )
-        row = run_spec_point(spec, point, churn_fast_path=fast_path)
+        row = run_spec_point(spec, point)
         assert row["good_joins"] == 25
         assert row["good_departures"] == 25
         # Every flap cycle departed its own re-issued member: the final
         # population is exactly the initial one.
         assert row["final_size"] == 10
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_named_session_joins_do_not_grow_alias_maps(self, fast_path):
+    def test_named_session_joins_do_not_grow_alias_maps(self):
         # Joins that carry BOTH an ident and a session retire their
         # alias bookkeeping when the engine-scheduled departure fires;
         # otherwise the maps would grow with total named joins.
@@ -166,9 +155,7 @@ class TestTraceIdentAliasing:
             idents=[f"peer-{i}" for i in range(n)],  # all distinct
         )
         sim = Simulation(
-            SimulationConfig(
-                horizon=float(n + 10), seed=1, churn_fast_path=fast_path
-            ),
+            SimulationConfig(horizon=float(n + 10), seed=1),
             NullDefense(),
             iter([block]),
         )
