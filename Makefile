@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test smoke scenarios chaos serve-smoke traces-smoke profile-smoke perfbench-smoke bench-quick bench-scale bench-membership bench-trace perf-trend
+.PHONY: lint test smoke scenarios chaos serve-smoke traces-smoke profile-smoke perfbench-smoke scale-gates
 
 # Static invariant lint: determinism boundary, atomic writes, serve
 # thread-safety, defense hook contracts, broad-except justification.
@@ -72,30 +72,11 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload flash-xl --seconds 1 --seed 7
 	$(PYTHON) perfbench/run.py --workload trace-replay --seconds 1 --seed 7 --trace 1
 
-# Dump the perf trajectory snapshot (engine events/sec, sweep wall
-# time, checkpoint/snapshot/profiler overheads).
-bench-quick:
-	$(PYTHON) benchmarks/bench_sweep.py --quick --jobs 2 --json BENCH_micro.json
-
-# The flash-crowd scale benchmark: 10^5-ID regression tier plus the
-# 10^6-ID arena tier (fails if any defense blows the wall-time budget
-# or the fast path does not engage).
-bench-scale:
-	$(PYTHON) benchmarks/bench_scale.py --json BENCH_scale.json
-
-# Membership arena micro (join/batch join/remove/random_good ns per op);
-# merges membership_* keys into BENCH_micro.json for the perf trend.
-bench-membership:
-	$(PYTHON) benchmarks/bench_membership.py --json BENCH_micro.json
-
-# Streamed 10^6-event trace replay (synthetic consensus flap) through
-# the scenario runner: wall/budget per defense, >=95% fast-path joins,
-# bounded-memory check under tracemalloc.  Merges a ``runs_trace`` tier
-# into BENCH_scale.json -- run after bench-scale, which rewrites it.
-bench-trace:
-	$(PYTHON) benchmarks/bench_trace_replay.py --json BENCH_scale.json
-
-# Compare freshly produced BENCH_*.json against the committed snapshots
-# and flag >20% regressions (advisory; --strict to fail).
-perf-trend:
-	$(PYTHON) benchmarks/perf_trend.py
+# Scale gates: 10^5- and 10^6-join flash crowds and a streamed
+# 10^6-event trace replay within their wall budgets, >=95% of joins on
+# the fast path, the replay under 64 MB of tracemalloc peak, and
+# checkpoint/snapshot overheads under 5%/3% of wall.  Kept out of
+# tier-1 (the file is not named test_*.py): it takes minutes, and wall
+# budgets need a box that runs nothing else.
+scale-gates:
+	$(PYTHON) -m pytest -q benchmarks/scale_gates.py

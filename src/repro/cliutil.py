@@ -7,7 +7,7 @@ helpers are the one copy of that logic.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 
 def pop_option(args: List[str], flag: str) -> Optional[str]:
@@ -23,6 +23,24 @@ def pop_option(args: List[str], flag: str) -> Optional[str]:
             del args[i]
             return arg.split("=", 1)[1]
     return None
+
+
+def pop_number(
+    args: List[str], flag: str, kind: Callable[[str], float] = float
+) -> Optional[float]:
+    """:func:`pop_option`, parsed as ``int`` or ``float``.
+
+    A value that does not parse exits with ``FLAG expects an integer
+    (or a number), got 'VALUE'`` instead of a ``ValueError`` traceback.
+    """
+    value = pop_option(args, flag)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise SystemExit(f"{flag} expects {noun}, got {value!r}")
 
 
 def pop_multi(args: List[str], flag: str) -> List[str]:

@@ -2,12 +2,13 @@
 
 Every result this repository produces rests on invariants that runtime
 tests can only catch *after* a violation lands: seeding must be the
-sole entropy source inside the deterministic core (or byte-identical
-metrics across ``{dict,arena} x {fast,heap} x jobs x crash-resume``
-stop being byte-identical), result and checkpoint files must be
-written atomically (or a kill mid-write leaves a torn ``BENCH_*.json``
-behind), and the serve layer's sqlite connections must stay behind the
-per-thread accessor (or a connection quietly hops threads under load).
+sole entropy source inside the deterministic core (or metrics stop
+being byte-identical across ``--jobs``, crash-resume and profiling or
+snapshots on/off), result and checkpoint files must be written
+atomically (or a kill mid-write leaves a torn results file or
+checkpoint journal behind), and the serve layer's sqlite connections
+must stay behind the per-thread accessor (or a connection quietly hops
+threads under load).
 
 ``repro lint`` enforces those contracts statically, at review time:
 

@@ -1,13 +1,13 @@
-"""R002 ``atomic-write`` -- no torn result, checkpoint, or BENCH files.
+"""R002 ``atomic-write`` -- no torn result, checkpoint, or trace files.
 
 The crash-recovery story (checkpoint journals, ``--resume``, the serve
 layer's kill -9 drill) only works because a reader never observes a
 half-written file: every durable artifact is written to a
 same-directory temp file and ``os.replace``d over the target.  A plain
 ``open(path, "w")`` breaks that contract -- a SIGKILL between the
-``write`` and the close leaves a torn ``BENCH_*.json`` or results file
-that the next consumer (perf_trend, ``--resume``, a dashboard) parses
-as garbage or, worse, as truncated-but-valid data.
+``write`` and the close leaves a torn results file or journal that the
+next consumer (``--resume``, the service, a dashboard) parses as
+garbage or, worse, as truncated-but-valid data.
 
 This rule flags every ``open()`` (including ``io.open`` / ``gzip.open``)
 whose mode creates or truncates (``w``, ``a``, ``x``) unless the

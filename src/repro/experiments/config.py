@@ -1,8 +1,8 @@
 """Experiment configurations.
 
 Full-scale defaults reproduce the paper's setups; every config has a
-``quick()`` preset used by the pytest-benchmark harness and smoke tests
-(same code paths, smaller sweeps).
+``quick()`` preset used by ``--quick`` runs, smoke tests and the scale
+gates (same code paths, smaller sweeps).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.adversary.base import Adversary
 from repro.adversary.strategies import GreedyJoinAdversary, LowerBoundAdversary
 from repro.churn.datasets import NETWORKS
+from repro.cliutil import pop_number
 from repro.experiments.config import scaled_n0
 from repro.experiments.runner import SweepResult, run_point
 
@@ -89,21 +90,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 def parse_jobs(args: Sequence[str]) -> int:
     """Extract ``--jobs N`` / ``--jobs=N`` from CLI args (default: all cores)."""
-    args = list(args)
-    for i, arg in enumerate(args):
-        if arg == "--jobs":
-            if i + 1 >= len(args):
-                raise SystemExit("--jobs requires a value")
-            value = args[i + 1]
-        elif arg.startswith("--jobs="):
-            value = arg.split("=", 1)[1]
-        else:
-            continue
-        try:
-            return resolve_jobs(int(value))
-        except ValueError:
-            raise SystemExit(f"--jobs expects an integer, got {value!r}")
-    return resolve_jobs(None)
+    return resolve_jobs(pop_number(list(args), "--jobs", int))
 
 
 def factories_from_dict(factories: Dict[str, Callable]) -> Dict[str, Callable]:

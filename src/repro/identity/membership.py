@@ -192,7 +192,7 @@ class ArenaMembershipSet:
     with cheap scalar access, which the engine's mix of whole-run
     batches and single-row mutations needs (run lengths of 5-10 are
     typical once session departures interleave).  The price is a
-    conversion on each scalar store: ``make bench-membership`` reads
+    conversion on each scalar store: a per-op micro-benchmark read
     per-row ``add`` ~17% slower than on lists, while whole-run joins,
     filled from numpy ramps, and removals read no slower (EXPERIMENTS.md,
     "Memory footprint").

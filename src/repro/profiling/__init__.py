@@ -16,23 +16,19 @@ this package.
 
 from repro.profiling.core import (
     GRANULARITIES,
-    HEAP_SPANS,
     ProfilePolicy,
     ProfileReport,
     ProfileRow,
     SpanProfiler,
-    span_shares,
 )
 from repro.profiling.speedscope import to_speedscope, validate_speedscope
 
 __all__ = [
     "GRANULARITIES",
-    "HEAP_SPANS",
     "ProfilePolicy",
     "ProfileReport",
     "ProfileRow",
     "SpanProfiler",
-    "span_shares",
     "to_speedscope",
     "validate_speedscope",
 ]

@@ -39,7 +39,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cliutil import pop_option as _pop_option
+from repro.cliutil import pop_number as _pop_number, pop_option as _pop_option
 from repro.experiments.parallel import derive_seed
 from repro.profiling.core import ProfilePolicy, ProfileReport
 from repro.profiling.speedscope import to_speedscope, validate_speedscope
@@ -131,10 +131,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(__doc__)
         return 0
     defense_opt = _pop_option(args, "--defense")
-    seed_opt = _pop_option(args, "--seed")
-    t_rate_opt = _pop_option(args, "--t-rate")
-    n0_scale_opt = _pop_option(args, "--n0-scale")
-    top_opt = _pop_option(args, "--top")
+    seed = _pop_number(args, "--seed", int)
+    t_rate = _pop_number(args, "--t-rate")
+    n0_scale = _pop_number(args, "--n0-scale")
+    top = _pop_number(args, "--top", int)
     json_path = _pop_option(args, "--json")
     speedscope_path = _pop_option(args, "--speedscope")
     quick = "--quick" in args
@@ -159,14 +159,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyError as exc:
         raise SystemExit(exc.args[0])
     defense = resolve_defense(defense_opt or "ERGO")
-    n0_scale = float(n0_scale_opt) if n0_scale_opt else (
-        QUICK_N0_SCALE if quick else 1.0
-    )
+    if n0_scale is None:
+        n0_scale = QUICK_N0_SCALE if quick else 1.0
     row = profile_point(
         names[0],
         defense,
-        seed=int(seed_opt) if seed_opt else 2021,
-        t_rate=float(t_rate_opt) if t_rate_opt else None,
+        seed=2021 if seed is None else seed,
+        t_rate=t_rate,
         n0_scale=n0_scale,
         granularity="coarse" if coarse else "default",
     )
@@ -177,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{names[0]} / {defense}  seed={row['seed']}  "
           f"t_rate={row['t_rate']:g}  n0_scale={row['n0_scale']:g}")
     print()
-    print(report.table(top=int(top_opt) if top_opt else None))
+    print(report.table(top=top))
     if json_path:
         atomic_write_text(
             json_path,

@@ -1,9 +1,9 @@
 """Span-based cost attribution for the simulation engine.
 
-The engine's hot loop interleaves half a dozen subsystems -- the churn
-pump, the zero-heap block fast path, heap scheduling, defense hooks,
-membership mutation, sampling, snapshot emission -- and BENCH_scale.json
-can only say what the *whole* run cost.  This module attributes that
+The engine's hot loop interleaves half a dozen subsystems -- the
+zero-heap block fast path, heap scheduling, defense hooks, membership
+mutation, sampling, snapshot emission -- and a run's wall time alone
+cannot say which of them it went to.  This module attributes that
 wall clock: a :class:`SpanProfiler` wraps the loop's stable seams once
 per ``run()`` call and accumulates per-span wall time, call counts and
 event counts into a flat :class:`ProfileReport`.
@@ -165,43 +165,6 @@ class ProfileReport(NamedTuple):
             f"{100.0 * self.coverage():.1f}% of {wall:.4f} s wall"
         )
         return "\n".join(lines)
-
-
-#: The engine's heap-primitive spans: everything the zero-heap block
-#: fast path exists to avoid.  Used by :func:`span_shares` and the
-#: scale benchmarks' attribution columns.
-HEAP_SPANS = frozenset(
-    ("engine.heap_push", "engine.heap_pop", "engine.heap_drain")
-)
-
-
-def span_shares(profile: Dict) -> Dict[str, float]:
-    """Top-3 attribution buckets of one profile, as % of its wall.
-
-    Self-time based, so the buckets never double-count nested spans:
-    heap primitives (:data:`HEAP_SPANS`), defense work (hooks +
-    membership mutation + pricing), and per-event handler dispatch.
-    The scale benchmarks put these next to ``wall_s`` in their
-    regression-tracked rows so the perf trend can say *where* a
-    wall-time regression went, not just that it happened.
-    """
-    wall = float(profile.get("wall_s") or 0.0)
-    if wall <= 0:
-        return {}
-    heap = defense = dispatch = 0.0
-    for row in profile["spans"]:
-        span = row["span"]
-        if span in HEAP_SPANS:
-            heap += row["self_s"]
-        elif span.startswith(("defense.", "membership.")):
-            defense += row["self_s"]
-        elif span.startswith("engine.handle."):
-            dispatch += row["self_s"]
-    return {
-        "span_heap_pct": round(100.0 * heap / wall, 2),
-        "span_defense_pct": round(100.0 * defense / wall, 2),
-        "span_dispatch_pct": round(100.0 * dispatch / wall, 2),
-    }
 
 
 class SpanProfiler:

@@ -49,7 +49,11 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.plotting import format_table
-from repro.cliutil import pop_multi as _pop_multi, pop_option as _pop_option
+from repro.cliutil import (
+    pop_multi as _pop_multi,
+    pop_number as _pop_number,
+    pop_option as _pop_option,
+)
 from repro.experiments import runtime
 from repro.experiments.parallel import parse_jobs
 from repro.experiments.report import results_path
@@ -180,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = [a for a in args if a != "--progress"]
     profile = "--profile" in args
     args = [a for a in args if a != "--profile"]
-    snap_interval_opt = _pop_option(args, "--snapshot-interval")
+    snap_interval = _pop_number(args, "--snapshot-interval")
     defenses = _pop_multi(args, "--defense") or list(SCENARIO_DEFENSES)
     unknown_defenses = [d for d in defenses if d not in SCENARIO_DEFENSES]
     if unknown_defenses:
@@ -188,9 +192,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"unknown defense(s): {', '.join(unknown_defenses)}; "
             f"choose from: {', '.join(SCENARIO_DEFENSES)}"
         )
-    seed_opt = _pop_option(args, "--seed")
-    t_rate_opt = _pop_option(args, "--t-rate")
-    n0_scale_opt = _pop_option(args, "--n0-scale")
+    seed = _pop_number(args, "--seed", int)
+    t_rate = _pop_number(args, "--t-rate")
+    n0_scale = _pop_number(args, "--n0-scale")
     json_path = _pop_option(args, "--json")
     names = [a for a in args if not a.startswith("--")]
     unknown_flags = [a for a in args if a.startswith("--")]
@@ -203,16 +207,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             get_scenario(name)  # fail fast, with the known-names message
         except KeyError as exc:
             raise SystemExit(exc.args[0])
-    n0_scale = float(n0_scale_opt) if n0_scale_opt else (
-        QUICK_N0_SCALE if quick else 1.0
-    )
+    if n0_scale is None:
+        n0_scale = QUICK_N0_SCALE if quick else 1.0
     snapshot_interval = None
     on_snapshot = None
     if progress:
         snapshot_interval = (
-            float(snap_interval_opt)
-            if snap_interval_opt
-            else DEFAULT_SNAPSHOT_INTERVAL
+            DEFAULT_SNAPSHOT_INTERVAL if snap_interval is None
+            else snap_interval
         )
         if snapshot_interval <= 0:
             raise SystemExit("--snapshot-interval must be > 0")
@@ -222,8 +224,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = run_catalog(
             scenarios=names,
             defenses=defenses,
-            seed=int(seed_opt) if seed_opt else 2021,
-            t_rate=float(t_rate_opt) if t_rate_opt else None,
+            seed=2021 if seed is None else seed,
+            t_rate=t_rate,
             n0_scale=n0_scale,
             jobs=jobs,
             policy=policy,

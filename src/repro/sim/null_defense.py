@@ -2,10 +2,10 @@
 
 ``NullDefense`` admits every good join at cost 0, admits Sybil joins at
 the 1-hard floor, and runs no periodic machinery.  It exists so that
-engine-loop measurements (``benchmarks/bench_micro.py``,
-``benchmarks/bench_sweep.py``) exercise the *driver* -- heap traffic,
-dispatch, adversary wake-ups, block loading, sampling -- rather than any
-particular protocol's bookkeeping.
+engine measurements (perfbench's ``events_per_sec.null``, the scale
+gates in ``benchmarks/scale_gates.py``) exercise the *engine loop* --
+heap traffic, dispatch, adversary wake-ups, block loading, sampling --
+rather than any particular protocol's bookkeeping.
 """
 
 from __future__ import annotations

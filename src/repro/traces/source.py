@@ -394,7 +394,7 @@ register_trace(
         name="synthetic-flap-xl",
         description=(
             "Stress-scale consensus-flap trace (~10^6 events, 5000 "
-            "relays) backing the trace-replay benchmark."
+            "relays) backing the streamed-replay scale gates."
         ),
         synthetic=SyntheticFlapSpec(
             relays=5000,

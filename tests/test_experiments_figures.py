@@ -7,6 +7,7 @@ numbers: who wins, what stays flat, what gets cut off.
 import pytest
 
 from repro.experiments import figure8, figure9, figure10, lowerbound, committee_exp
+from repro.experiments.ablations import AblationConfig, run_ablations
 from repro.experiments.config import (
     CommitteeConfig,
     Figure8Config,
@@ -153,3 +154,16 @@ class TestCommitteeExperiment:
         assert report.min_good_fraction >= 0.75
         assert report.size_min >= 3
         assert report.max_bad_fraction < 1 / 6
+
+
+class TestAblations:
+    def test_default_purge_fraction_keeps_defid_and_quarter_breaks_it(self):
+        # Quick scale reads max bad fraction 0.084 at 1/11 and 0.200 at 1/4.
+        config = AblationConfig.quick()
+        config.goodjest_thresholds = []
+        config.window_scales = []
+        rows = {r.value: r for r in run_ablations(config)}
+        default, loose = rows[1 / 11], rows[1 / 4]
+        assert default.defid_ok
+        assert not loose.defid_ok
+        assert loose.max_bad_fraction > default.max_bad_fraction

@@ -50,6 +50,10 @@ class TestJobsParsing:
         with pytest.raises(SystemExit):
             parse_jobs(["--jobs"])
 
+    def test_non_integer_exits_with_message(self):
+        with pytest.raises(SystemExit, match="--jobs expects an integer, got 'x'"):
+            parse_jobs(["--jobs", "x"])
+
     def test_zero_means_all_cores(self):
         assert resolve_jobs(0) >= 1
 

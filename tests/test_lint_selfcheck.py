@@ -66,7 +66,7 @@ class TestLinterStillBites:
         assert [v.rule for v in violations] == ["R002"]
 
     def test_reverted_bench_json_writer_is_caught(self):
-        # the pre-fix shape of the benchmarks' --json writers
+        # a plain-open JSON writer in a benchmark file
         source = (
             "import json\n"
             "def emit(path, report):\n"
@@ -74,7 +74,7 @@ class TestLinterStillBites:
             "        json.dump(report, fh)\n"
         )
         violations = lint_file(
-            REPO / "benchmarks" / "bench_scale.py", source=source
+            REPO / "benchmarks" / "scale_gates.py", source=source
         )
         assert [v.rule for v in violations] == ["R002"]
 

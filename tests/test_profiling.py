@@ -10,14 +10,15 @@ are asserted on top.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.ergo import Ergo
 from repro.profiling import (
     GRANULARITIES,
     ProfilePolicy,
     ProfileReport,
     SpanProfiler,
-    span_shares,
     to_speedscope,
     validate_speedscope,
 )
@@ -29,6 +30,8 @@ from repro.scenarios.run import (
     run_catalog,
     run_spec_point,
 )
+from repro.sim.blocks import ChurnBlock
+from repro.sim.engine import Simulation, SimulationConfig
 
 SCENARIO = "flash-crowd"
 N0_SCALE = 0.05
@@ -85,6 +88,53 @@ class TestByteIdentityMatrix:
         spec, point = make_point("Null")
         row = run_spec_point(spec, point)
         assert "profile" not in row
+
+
+def shadowed_hooks(defense):
+    """Callable instance attributes that shadow a class attribute (what
+    ``SpanProfiler._shadow`` installs) on the defense, its pricing
+    window and its membership set."""
+    return [
+        name
+        for obj in (defense, defense._window, defense.population.good)
+        for name, value in vars(obj).items()
+        if callable(value) and hasattr(type(obj), name)
+    ]
+
+
+class TestDisabledPath:
+    """``profile=None`` installs nothing: no profiler, no wrapped hook."""
+
+    def run_ergo(self, policy):
+        n = 2_000
+        block = ChurnBlock(
+            (np.arange(n) + 1) * 0.1,
+            np.zeros(n, dtype=np.uint8),
+            sessions=np.full(n, 5.0),
+        )
+        defense = Ergo()
+        sim = Simulation(
+            SimulationConfig(
+                horizon=300.0, tick_interval=1.0, seed=1, profile=policy
+            ),
+            defense,
+            [block],
+        )
+        sim.run()
+        return sim, defense
+
+    def test_no_profiler_and_no_shadowed_hooks(self):
+        sim, defense = self.run_ergo(None)
+        assert sim.profiler is None
+        assert shadowed_hooks(defense) == []
+
+    def test_enabled_profiler_shadows_hooks(self):
+        # The check above can see a shadow: profiling on installs them.
+        sim, defense = self.run_ergo(ProfilePolicy())
+        assert sim.profiler is not None
+        assert {"process_good_join_batch", "quote_record_run", "add_batch"} <= set(
+            shadowed_hooks(defense)
+        )
 
 
 class TestReportInvariants:
@@ -170,16 +220,6 @@ class TestReportSerde:
         assert "% of" in lines[-1]
         full = report.table()
         assert f"{len(report.rows)} spans cover" in full
-
-    def test_span_shares_buckets(self):
-        _, report = profiled_report()
-        shares = span_shares(report.as_dict())
-        assert set(shares) == {
-            "span_heap_pct", "span_defense_pct", "span_dispatch_pct"
-        }
-        assert all(v >= 0.0 for v in shares.values())
-        assert sum(shares.values()) <= 100.0 + 0.01
-        assert span_shares({"wall_s": 0.0, "spans": []}) == {}
 
     def test_report_survives_exception_mid_run(self):
         prof = SpanProfiler()
@@ -286,6 +326,27 @@ class TestCli:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit, match="unknown option"):
             self.run_cli(SCENARIO, "--granularity", "fine")
+
+    @pytest.mark.parametrize(
+        "flag, value, noun",
+        [
+            ("--seed", "abc", "an integer"),
+            ("--t-rate", "abc", "a number"),
+            ("--n0-scale", "abc", "a number"),
+            ("--top", "x", "an integer"),
+        ],
+    )
+    def test_non_numeric_option_exits_before_running(
+        self, monkeypatch, flag, value, noun
+    ):
+        monkeypatch.setattr(
+            profile_cli, "profile_point",
+            lambda *a, **kw: pytest.fail("profiled run started"),
+        )
+        with pytest.raises(
+            SystemExit, match=f"{flag} expects {noun}, got '{value}'"
+        ):
+            self.run_cli(SCENARIO, flag, value)
 
     def test_coarse_flag_runs(self, capsys):
         rc = self.run_cli(

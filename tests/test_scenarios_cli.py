@@ -42,6 +42,23 @@ def test_unknown_option_rejected():
         main(["run", "flash-crowd", "--frob", "--quick"])
 
 
+@pytest.mark.parametrize(
+    "flag, value, noun",
+    [
+        ("--seed", "abc", "an integer"),
+        ("--t-rate", "abc", "a number"),
+        ("--n0-scale", "abc", "a number"),
+        ("--snapshot-interval", "x", "a number"),
+    ],
+)
+def test_non_numeric_option_exits_before_running(monkeypatch, flag, value, noun):
+    monkeypatch.setattr(
+        "repro.scenarios.cli.run_catalog", lambda **kw: pytest.fail("catalog ran")
+    )
+    with pytest.raises(SystemExit, match=f"{flag} expects {noun}, got '{value}'"):
+        main(["run", "flash-crowd", flag, value])
+
+
 def test_unknown_defense_fails_fast():
     # A typo'd defense must not surface as a worker-process KeyError.
     with pytest.raises(SystemExit, match="Ergo"):
