@@ -42,13 +42,22 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
 # Trace-subsystem smoke: registry listing, offline synthetic-generator
-# fetch + streamed stats, packaged-fixture stats, and a streamed replay
-# scenario across the defense suite.  No network, ever.
+# fetch + streamed stats, packaged-fixture stats, a convert round trip
+# (gzip copy in a temp dir whose stats must match the source's), and a
+# streamed replay scenario across the defense suite.  No network, ever.
 traces-smoke:
 	$(PYTHON) -m repro traces list
 	$(PYTHON) -m repro traces fetch synthetic-flap-ci --force
 	$(PYTHON) -m repro traces stats synthetic-flap-ci
 	$(PYTHON) -m repro traces stats tor-relay-flap
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(PYTHON) -m repro traces convert synthetic-flap-ci "$$tmp/flap.csv.gz" && \
+	$(PYTHON) -m repro traces stats "$$tmp/flap.csv.gz" > "$$tmp/copy.txt" && \
+	$(PYTHON) -m repro traces stats synthetic-flap-ci > "$$tmp/src.txt" && \
+	cat "$$tmp/copy.txt" && \
+	sed 1d "$$tmp/src.txt" > "$$tmp/src.body" && \
+	sed 1d "$$tmp/copy.txt" > "$$tmp/copy.body" && \
+	cmp "$$tmp/src.body" "$$tmp/copy.body"
 	$(PYTHON) -m repro scenarios run consensus-flap tor-relay-replay --quick --jobs 2
 
 # Cost-attribution smoke: profile the acceptance point (flash-crowd

@@ -13,7 +13,7 @@ import numpy as np
 import repro
 from repro.analysis.bounds import ergo_spend_rate_bound
 from repro.churn.epochs import find_epochs
-from repro.churn.generators import diurnal_rate, modulated_join_stream
+from repro.churn.generators import diurnal_rate, modulated_join_blocks
 from repro.churn.sessions import LogNormalSessions
 from repro.churn.smoothness import estimate_smoothness
 from repro.churn.traces import InitialMember
@@ -28,8 +28,8 @@ def main() -> None:
     base_rate = n0 / sessions.mean()
     rate_fn = diurnal_rate(base_rate, amplitude=0.6, period=2_000.0)
 
-    events = list(
-        modulated_join_stream(
+    blocks = list(
+        modulated_join_blocks(
             rate_fn,
             max_rate=base_rate * 1.6,
             session_dist=sessions,
@@ -37,13 +37,15 @@ def main() -> None:
             horizon=horizon,
         )
     )
-    print(f"generated {len(events)} joins over {horizon:,.0f}s "
+    times = np.concatenate([b.times for b in blocks]).tolist()
+    session_times = np.concatenate([b.sessions for b in blocks]).tolist()
+    print(f"generated {len(times)} joins over {horizon:,.0f}s "
           f"(base rate {base_rate:.2f}/s, diurnal amplitude 0.6)")
 
     # Measure the effective ABC parameters of the join process.
     named = [
-        repro.sim.events.GoodJoin(time=e.time, ident=f"j{i}", session=e.session)
-        for i, e in enumerate(events)
+        repro.sim.events.GoodJoin(time=t, ident=f"j{i}", session=s)
+        for i, (t, s) in enumerate(zip(times, session_times))
     ]
     epochs = find_epochs(named, [f"init-{i}" for i in range(n0)])
     smoothness = estimate_smoothness(named, epochs)
@@ -57,7 +59,7 @@ def main() -> None:
     sim = Simulation(
         SimulationConfig(horizon=horizon),
         defense,
-        events,
+        blocks,
         adversary=adversary,
         initial_members=initial,
     )

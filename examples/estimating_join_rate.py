@@ -15,6 +15,7 @@ from repro.analysis.plotting import format_table
 from repro.churn.generators import smooth_trace
 from repro.churn.traces import InitialMember
 from repro.experiments.estimation import EstimationHarness
+from repro.sim.blocks import blocks_from_events
 from repro.sim.engine import Simulation, SimulationConfig
 
 
@@ -29,7 +30,7 @@ def main() -> None:
     sim = Simulation(
         SimulationConfig(horizon=horizon),
         harness,
-        events,
+        list(blocks_from_events(events)),
         initial_members=[InitialMember(ident=f"init-{i}") for i in range(n0)],
     )
     sim.run()

@@ -8,10 +8,12 @@
   exponential, log-normal) with equilibrium residual sampling for
   steady-state initial populations.
 * :mod:`repro.churn.generators` -- Poisson and inhomogeneous-Poisson
-  join processes, plus exactly α,β-smooth synthetic traces.
+  join processes as churn blocks, plus exactly α,β-smooth synthetic
+  traces.
 * :mod:`repro.churn.datasets` -- the four evaluation networks (Bitcoin,
   BitTorrent, Ethereum, Gnutella) from Section 10.
-* :mod:`repro.churn.traces` -- materialized traces, statistics, CSV I/O.
+* :mod:`repro.churn.traces` -- churn scenarios, block-stream statistics
+  and CSV output.
 """
 
 from repro.churn.abc_model import AbcParameters, minimum_n0
@@ -26,12 +28,10 @@ from repro.churn.datasets import (
 from repro.churn.epochs import Epoch, EpochTracker, find_epochs
 from repro.churn.generators import (
     modulated_join_blocks,
-    modulated_join_stream,
     poisson_join_blocks,
-    poisson_join_stream,
     smooth_trace,
 )
-from repro.sim.blocks import ChurnBlock, blocks_from_events, events_from_blocks
+from repro.sim.blocks import ChurnBlock, blocks_from_events
 from repro.churn.sessions import (
     EquilibriumResidualSampler,
     ExponentialSessions,
@@ -58,14 +58,11 @@ __all__ = [
     "bittorrent",
     "blocks_from_events",
     "ethereum",
-    "events_from_blocks",
     "find_epochs",
     "gnutella",
     "minimum_n0",
     "modulated_join_blocks",
-    "modulated_join_stream",
     "poisson_join_blocks",
-    "poisson_join_stream",
     "smooth_trace",
     "trace_stats",
 ]

@@ -60,7 +60,6 @@ class NetworkModel:
         horizon: float,
         rng: np.random.Generator,
         n0: Optional[int] = None,
-        materialize: bool = True,
         equilibrium: bool = True,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> ChurnScenario:
@@ -73,11 +72,9 @@ class NetworkModel:
         setup of "initializing with 10,000 IDs" (Section 10.2) -- with
         heavy-tailed sessions this front-loads departures.
 
-        The join stream is produced in block mode (struct-of-arrays
+        The join stream is a list of struct-of-arrays
         :class:`~repro.sim.blocks.ChurnBlock` batches of ``block_size``
-        rows): the engine applies it through its zero-heap fast path,
-        and per-event consumers go through ``scenario.replay()``, which
-        expands blocks transparently.
+        rows, which the engine applies through its zero-heap fast path.
         """
         size = n0 if n0 is not None else self.n0
         if equilibrium:
@@ -100,15 +97,12 @@ class NetworkModel:
             horizon=horizon,
             block_size=block_size,
         )
-        scenario = ChurnScenario(
+        return ChurnScenario(
             name=self.name,
             initial=initial,
             events=events,
             description=self.description,
         )
-        if materialize:
-            scenario.materialize()
-        return scenario
 
 
 def bitcoin() -> NetworkModel:

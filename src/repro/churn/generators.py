@@ -14,15 +14,12 @@ Two families:
   sequence of epoch rates.  Used by property tests that compare
   GoodJEst's estimate against the Theorem-2 envelope for known (α, β).
 
-The measurement-style generators are **block-mode**: they precompute
-churn as struct-of-arrays :class:`~repro.sim.blocks.ChurnBlock` batches
-(``times`` via one vectorized cumulative sum of exponential gaps per
-block, ``sessions`` via one vectorized distribution draw) instead of
-yielding one ``Event`` object per ID.  The historical per-event
-iterators (:func:`poisson_join_stream`, :func:`modulated_join_stream`)
-are kept as thin adapters over the blocks, so per-event call sites keep
-working; the engine consumes the blocks directly through its zero-heap
-fast path.
+The measurement-style generators emit struct-of-arrays
+:class:`~repro.sim.blocks.ChurnBlock` batches (``times`` via one
+vectorized cumulative sum of exponential gaps per block, ``sessions``
+via one vectorized distribution draw) instead of one ``Event`` object
+per ID; the engine consumes them directly through its zero-heap fast
+path.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.churn.sessions import SessionDistribution, sample_session_array
-from repro.sim.blocks import JOIN, ChurnBlock, events_from_blocks
+from repro.sim.blocks import JOIN, ChurnBlock
 from repro.sim.events import Event, GoodDeparture, GoodJoin
 
 #: Rows per generated block.  Big enough to amortize the vectorized RNG
@@ -84,21 +81,6 @@ def poisson_join_blocks(
         now = float(times[-1])
 
 
-def poisson_join_stream(
-    rate: float,
-    session_dist: SessionDistribution,
-    rng: np.random.Generator,
-    horizon: Optional[float] = None,
-    start: float = 0.0,
-) -> Iterator[GoodJoin]:
-    """Per-event adapter over :func:`poisson_join_blocks`."""
-    return events_from_blocks(
-        poisson_join_blocks(
-            rate, session_dist, rng, horizon=horizon, start=start
-        )
-    )
-
-
 def modulated_join_blocks(
     rate_fn: Callable[[float], float],
     max_rate: float,
@@ -147,22 +129,6 @@ def modulated_join_blocks(
         if done:
             return
         now = float(times[-1])
-
-
-def modulated_join_stream(
-    rate_fn: Callable[[float], float],
-    max_rate: float,
-    session_dist: SessionDistribution,
-    rng: np.random.Generator,
-    horizon: float,
-    start: float = 0.0,
-) -> Iterator[GoodJoin]:
-    """Per-event adapter over :func:`modulated_join_blocks`."""
-    return events_from_blocks(
-        modulated_join_blocks(
-            rate_fn, max_rate, session_dist, rng, horizon, start=start
-        )
-    )
 
 
 def diurnal_rate(base_rate: float, amplitude: float, period: float = 86_400.0):

@@ -1,8 +1,8 @@
 """Shared helpers for the hand-rolled subcommand CLIs.
 
-The subcommand CLIs (``repro scenarios``, ``repro traces``) parse a
-small flag vocabulary by mutating the argument list in place; these
-helpers are the one copy of that logic.
+The subcommand CLIs (``repro scenarios``, ``traces``, ``profile``,
+``serve``) parse a small flag vocabulary by mutating the argument list
+in place; these helpers are the one copy of that logic.
 """
 
 from __future__ import annotations
@@ -10,8 +10,13 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 
-def pop_option(args: List[str], flag: str) -> Optional[str]:
-    """Extract ``--flag VALUE`` / ``--flag=VALUE`` (single occurrence)."""
+def pop_option(
+    args: List[str], flag: str, default: Optional[str] = None
+) -> Optional[str]:
+    """Extract ``--flag VALUE`` / ``--flag=VALUE`` (single occurrence).
+
+    Returns ``default`` when the flag is absent.
+    """
     for i, arg in enumerate(args):
         if arg == flag:
             if i + 1 >= len(args):
@@ -22,20 +27,24 @@ def pop_option(args: List[str], flag: str) -> Optional[str]:
         if arg.startswith(flag + "="):
             del args[i]
             return arg.split("=", 1)[1]
-    return None
+    return default
 
 
 def pop_number(
-    args: List[str], flag: str, kind: Callable[[str], float] = float
+    args: List[str],
+    flag: str,
+    kind: Callable[[str], float] = float,
+    default: Optional[float] = None,
 ) -> Optional[float]:
     """:func:`pop_option`, parsed as ``int`` or ``float``.
 
-    A value that does not parse exits with ``FLAG expects an integer
-    (or a number), got 'VALUE'`` instead of a ``ValueError`` traceback.
+    Returns ``default`` when the flag is absent.  A value that does not
+    parse exits with ``FLAG expects an integer (or a number), got
+    'VALUE'`` instead of a ``ValueError`` traceback.
     """
     value = pop_option(args, flag)
     if value is None:
-        return None
+        return default
     try:
         return kind(value)
     except ValueError:

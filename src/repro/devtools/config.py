@@ -26,7 +26,7 @@ checkout (``src/repro/sim/...``) and an installed tree alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple, Union
 
@@ -102,10 +102,6 @@ class LintConfig:
     #: thread/process blocking (``str.join`` stays out of scope).
     joinable_markers: Tuple[str, ...] = ("thread", "proc", "worker", "pool")
 
-    #: Files excluded from linting entirely (never any today; the knob
-    #: exists so a vendored file can be carved out without code edits).
-    exclude: Tuple[str, ...] = field(default=())
-
     def in_core(self, path: Union[str, Path]) -> bool:
         return path_in(path, self.deterministic_core) and not path_in(
             path, self.wall_clock_allowlist
@@ -116,9 +112,6 @@ class LintConfig:
 
     def in_profiling(self, path: Union[str, Path]) -> bool:
         return path_in(path, self.profiling_packages)
-
-    def excluded(self, path: Union[str, Path]) -> bool:
-        return path_in(path, self.exclude)
 
 
 DEFAULT_CONFIG = LintConfig()

@@ -273,8 +273,6 @@ def lint_file(
     if rules is None:
         rules = all_rules()
     path_str = str(path)
-    if config.excluded(path_str):
-        return []
     try:
         if source is None:
             ctx = FileContext.from_path(path)

@@ -140,11 +140,6 @@ class ExecutionPolicy:
     #: "raise": re-raise a point's terminal error (library default);
     #: "collect": record a FailureRow and keep sweeping (CLI default)
     on_failure: str = "raise"
-    #: run every point with span-level cost attribution
-    #: (:mod:`repro.profiling`): sweep entry points that honor this
-    #: (``run_catalog``) attach a ``"profile"`` breakdown to each row.
-    #: Metrics stay byte-identical either way.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:

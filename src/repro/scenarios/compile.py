@@ -7,22 +7,25 @@ and a coarse population estimate, emitting
   churn (so every scenario rides the engine's zero-heap fast path -- the
   phase compilers reuse the vectorized generators
   :func:`~repro.churn.generators.poisson_join_blocks` /
-  :func:`~repro.churn.generators.modulated_join_blocks`), and
+  :func:`~repro.churn.generators.modulated_join_blocks`, and trace
+  replays stay lazy :class:`~repro.traces.reader.TraceBlockStream`
+  segments), and
 * scheduled :class:`~repro.sim.events.BadDepartureBatch` events for
   adversarial exoduses (one heap entry per batch, never per ID).
 
 The population estimate is deliberately simple (joins add, departures
 subtract, steady phases hold) -- it only sizes fraction-based phases and
 resolves equilibrium rates; the simulation itself tracks the true
-population.  Everything is derived from the one ``rng`` stream handed
-in, so a (spec, seed) pair compiles to a bit-identical workload.
+population.  Replayed traces are not read at compile time, so their
+joins stay out of the estimate.  Everything is derived from the one
+``rng`` stream handed in, so a (spec, seed) pair compiles to a
+bit-identical workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from repro.churn.sessions import (
     SessionDistribution,
     sample_session_array,
 )
-from repro.churn.traces import InitialMember, SortedPeakJoins, load_trace_csv
+from repro.churn.traces import InitialMember, trace_stats
 from repro.traces.reader import TraceBlockStream
 from repro.traces.source import PACKAGED_DATA_DIR, resolve_trace
 from repro.scenarios.spec import (
@@ -50,8 +53,8 @@ from repro.scenarios.spec import (
     SybilExodus,
     TraceReplay,
 )
-from repro.sim.blocks import DEPART, JOIN, ChurnBlock, blocks_from_events
-from repro.sim.events import BadDepartureBatch, Event, GoodDeparture, GoodJoin
+from repro.sim.blocks import DEPART, JOIN, ChurnBlock
+from repro.sim.events import BadDepartureBatch, Event
 
 #: Packaged trace data (``TraceReplay`` relative paths resolve here);
 #: shared with the :mod:`repro.traces` registry.
@@ -63,10 +66,9 @@ class CompiledScenario:
     """A runnable workload: what the simulation engine consumes.
 
     ``blocks`` holds the time-sorted good churn as a list of *parts*:
-    materialized :class:`~repro.sim.blocks.ChurnBlock` batches
-    interleaved with lazy
-    :class:`~repro.traces.reader.TraceBlockStream` segments (streaming
-    ``TraceReplay`` phases).  Consumers iterate :meth:`iter_blocks`,
+    :class:`~repro.sim.blocks.ChurnBlock` batches interleaved with lazy
+    :class:`~repro.traces.reader.TraceBlockStream` segments
+    (``TraceReplay`` phases).  Consumers iterate :meth:`iter_blocks`,
     which flattens both shapes into one lazy block stream -- a lazy
     segment is parsed from disk only as the engine (or the summary)
     walks past it, so trace length never bounds memory.
@@ -96,27 +98,17 @@ class CompiledScenario:
 
         Streams: lazy trace segments are re-read block by block, so the
         summary of a million-event replay costs one bounded-memory pass
-        over the file, not a materialization.
+        over the file, not a materialization.  Compiled block streams
+        are globally time-sorted (``_check_sorted``), which the peak
+        join rate (max joins in any 1-second bin) relies on.
         """
-        joins = 0
-        departures = 0
-        # Compiled block streams are globally time-sorted (enforced by
-        # ``_check_sorted``), which is exactly the tracker's contract.
-        peak = SortedPeakJoins()
-        for block in self.iter_blocks():
-            kinds = block.kinds
-            block_joins = int(np.count_nonzero(kinds == JOIN))
-            joins += block_joins
-            departures += len(block) - block_joins
-            # Peak join rate: max joins falling into any 1-second bin.
-            if block_joins:
-                peak.add_block(block.times[kinds == JOIN])
+        stats = trace_stats(self.iter_blocks())
         return {
             "horizon": self.horizon,
             "initial_members": len(self.initial),
-            "good_joins": joins,
-            "good_departures": departures,
-            "peak_join_rate": peak.result(),
+            "good_joins": stats.joins,
+            "good_departures": stats.departures,
+            "peak_join_rate": stats.peak_joins_1s,
             "scheduled_bad_departure_batches": len(self.scheduled),
             "warnings": list(self.warnings),
         }
@@ -141,9 +133,9 @@ class _Compiler:
         self.blocks: List = []
         self.scheduled: List[Event] = []
         self.warnings: List[str] = []
-        #: set once a streaming TraceReplay has been compiled: its join
-        #: count is unknown without a full pass, so the population
-        #: estimate excludes it and later pop-sized phases get a warning
+        #: set once a TraceReplay has been compiled: its join count is
+        #: unknown without a full pass, so the population estimate
+        #: excludes it and later pop-sized phases get a warning
         self._streamed_replay = False
         self._streamed_pop_warned = False
 
@@ -226,9 +218,8 @@ class _Compiler:
         ):
             self.warnings.append(
                 f"{type(phase).__name__}: sized from a population estimate "
-                "that excludes joins from earlier streaming TraceReplay "
-                "phases (use streaming=False to have replayed joins "
-                "counted)"
+                "that excludes joins from earlier TraceReplay phases (pin "
+                "the later phase's rate or count)"
             )
             self._streamed_pop_warned = True
         if isinstance(phase, SteadyState):
@@ -332,53 +323,24 @@ class _Compiler:
             raise TypeError(f"unknown phase type: {type(phase).__name__}")
 
     def compile_replay(self, phase: TraceReplay, start: float) -> None:
-        """Lower a trace-replay phase: lazy block stream or eager load.
+        """Lower a trace-replay phase to a lazy block stream.
 
         ``phase.path`` is resolved through the :mod:`repro.traces`
-        registry (names, packaged fixtures, plain paths).  The default
-        streaming form appends a re-iterable
-        :class:`~repro.traces.reader.TraceBlockStream` part -- the file
-        is parsed only when the engine (or the summary) consumes it, so
-        replay memory is bounded by the block size, not the trace.  The
-        eager form (``streaming=False``) keeps the historical
-        load-sort-pack behavior and feeds the population estimate.
+        registry (names, packaged fixtures, plain paths).  The appended
+        :class:`~repro.traces.reader.TraceBlockStream` part is
+        re-iterable: the file is parsed only when the engine (or the
+        summary) consumes it, so replay memory is bounded by the block
+        size, not the trace.
         """
-        path = resolve_trace(phase.path)
-        if phase.streaming is not False:
-            part = TraceBlockStream(
-                path,
-                start=start,
-                time_scale=phase.time_scale,
-                duration=phase.duration,
-            )
-            if not part.empty:
-                self.blocks.append(part)
-                self._streamed_replay = True
-            return
-        events = load_trace_csv(path)
-        if not events:
-            return
-        events.sort(key=lambda e: e.time)
-        origin = events[0].time
-        shifted: List[Event] = []
-        joins = 0
-        for event in events:
-            t = (event.time - origin) * phase.time_scale
-            if t > phase.duration:
-                break
-            if isinstance(event, GoodJoin):
-                shifted.append(
-                    GoodJoin(
-                        time=start + t, ident=event.ident, session=event.session
-                    )
-                )
-                joins += 1
-            else:
-                shifted.append(GoodDeparture(time=start + t, ident=event.ident))
-        self.emit(blocks_from_events(shifted))
-        # Replayed departures name explicit replay idents, so they do
-        # not shrink the anonymous background population estimate.
-        self.pop += joins
+        part = TraceBlockStream(
+            resolve_trace(phase.path),
+            start=start,
+            time_scale=phase.time_scale,
+            duration=phase.duration,
+        )
+        if not part.empty:
+            self.blocks.append(part)
+            self._streamed_replay = True
 
 
 def compile_scenario(

@@ -291,14 +291,13 @@ def run_catalog(
     ``jobs=1``, batched per completed point under a process pool.  The
     metrics keys of the report are byte-identical either way.
 
-    ``profile=True`` (or ``policy.profile``) runs every point with
-    span-level cost attribution: each row carries a ``"profile"``
-    breakdown and the report grows a ``"profile"`` rollup summing span
-    totals across points.
+    ``profile=True`` runs every point with span-level cost
+    attribution: each row carries a ``"profile"`` breakdown and the
+    report grows a ``"profile"`` rollup summing span totals across
+    points.
     """
     names = list(scenarios) if scenarios is not None else scenario_names()
     points = build_points(names, defenses, seed, t_rate, n0_scale)
-    profile = profile or bool(getattr(policy, "profile", False))
     if snapshot_interval is not None:
         report = map_report(
             run_scenario_point_live,

@@ -8,8 +8,9 @@ dataclasses -- picklable, hashable, comparable -- so sweep workers can
 rebuild a scenario from its spec and a seed with no closures involved.
 
 The semantics live in :mod:`repro.scenarios.compile`, which turns a spec
-into struct-of-arrays :class:`~repro.sim.blocks.ChurnBlock` batches (so
-every scenario rides the engine's zero-heap fast path) plus scheduled
+into struct-of-arrays :class:`~repro.sim.blocks.ChurnBlock` batches and
+lazily read trace segments (so every scenario rides the engine's
+zero-heap fast path) plus scheduled
 :class:`~repro.sim.events.BadDepartureBatch` events for adversarial
 exoduses.  Named, ready-made specs live in
 :mod:`repro.scenarios.catalog`.
@@ -186,20 +187,17 @@ class TraceReplay:
     ``duration`` are dropped (a shorter trace simply ends early, leaving
     the rest of the window quiet).
 
-    ``streaming`` selects how the trace reaches the engine.  The
-    default (``None`` = streaming) hands the compiler a lazy
-    :class:`~repro.traces.reader.TraceBlockStream`: blocks are parsed
-    on demand in bounded memory, so multi-million-event consensus
-    traces replay without ever materializing per-event objects --
-    byte-identical results to the eager path, which requires a
-    time-sorted trace.  ``streaming=False`` keeps the historical eager
-    load (tolerates unsorted files by sorting in memory).
+    The compiler hands the engine a lazy
+    :class:`~repro.traces.reader.TraceBlockStream`: blocks are parsed on
+    demand in bounded memory, so multi-million-event consensus traces
+    replay without ever materializing per-event objects.  The trace's
+    rows must be time-sorted; an unsorted file fails with the first
+    offending line.
     """
 
     path: str
     duration: float
     time_scale: float = 1.0
-    streaming: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.time_scale <= 0:

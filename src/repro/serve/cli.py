@@ -61,7 +61,7 @@ import threading
 from pathlib import Path
 from typing import List, Optional
 
-from repro.cliutil import pop_option
+from repro.cliutil import pop_number, pop_option
 from repro.serve.api import make_server
 from repro.serve.store import JobStore
 from repro.serve.supervisor import Supervisor
@@ -82,22 +82,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(__doc__)
         return 0
 
-    def popped(flag: str, default, cast):
-        value = pop_option(args, flag)
-        try:
-            return cast(value) if value is not None else default
-        except ValueError:
-            raise SystemExit(f"{flag} expects {cast.__name__}, got {value!r}")
-
-    host = popped("--host", "127.0.0.1", str)
-    port = popped("--port", DEFAULT_PORT, int)
-    data_dir = Path(popped("--data-dir", default_data_dir(), str))
-    max_workers = popped("--max-workers", 2, int)
-    max_queued = popped("--max-queued", 16, int)
-    drain_timeout = popped("--drain-timeout", 30.0, float)
-    heartbeat_timeout = popped("--heartbeat-timeout", 120.0, float)
-    maintenance_interval = popped("--maintenance-interval", 2.0, float)
-    job_attempts = popped("--job-attempts", 3, int)
+    host = pop_option(args, "--host", "127.0.0.1")
+    port = pop_number(args, "--port", int, DEFAULT_PORT)
+    data_dir = Path(pop_option(args, "--data-dir", str(default_data_dir())))
+    max_workers = pop_number(args, "--max-workers", int, 2)
+    max_queued = pop_number(args, "--max-queued", int, 16)
+    drain_timeout = pop_number(args, "--drain-timeout", float, 30.0)
+    heartbeat_timeout = pop_number(args, "--heartbeat-timeout", float, 120.0)
+    maintenance_interval = pop_number(args, "--maintenance-interval", float, 2.0)
+    job_attempts = pop_number(args, "--job-attempts", int, 3)
     verbose = "--verbose" in args
     args = [a for a in args if a != "--verbose"]
     if args:

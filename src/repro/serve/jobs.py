@@ -248,7 +248,6 @@ def execute_job(
         resume=resume,
         fault_spec=spec.fault_spec,
         on_failure="collect",
-        profile=spec.profile,
     )
     return run_catalog(
         scenarios=list(spec.scenarios),
@@ -265,4 +264,5 @@ def execute_job(
             else None
         ),
         on_snapshot=on_snapshot,
+        profile=spec.profile,
     )

@@ -20,14 +20,15 @@ Blocks only describe *good* churn (the trace side of the ABC model).
 Adversarial joins are already aggregated (``process_bad_join_batch``);
 ticks, callbacks and bad departures stay ordinary events.
 
-The per-event iterators are kept as thin adapters
-(:func:`events_from_blocks`), so any consumer that wants classic
-``GoodJoin`` / ``GoodDeparture`` objects still gets them.
+Blocks are the one churn shape from generation through replay,
+statistics and CSV output.  Hand-written ``GoodJoin`` / ``GoodDeparture``
+lists (e.g. :func:`repro.churn.generators.smooth_trace`) enter it
+through :meth:`ChurnBlock.from_events` / :func:`blocks_from_events`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,27 +104,6 @@ class ChurnBlock:
             f"joins={int(np.count_nonzero(self.kinds == JOIN))})"
         )
 
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-    def iter_events(self) -> Iterator[Event]:
-        """Expand rows back into classic per-event objects."""
-        times = self.times.tolist()
-        kinds = self.kinds.tolist()
-        sessions = self.sessions.tolist() if self.sessions is not None else None
-        idents = self.idents
-        for i, t in enumerate(times):
-            ident = idents[i] if idents is not None else None
-            if kinds[i] == JOIN:
-                session = None
-                if sessions is not None:
-                    s = sessions[i]
-                    if s == s:  # not NaN
-                        session = s
-                yield GoodJoin(time=t, ident=ident, session=session)
-            else:
-                yield GoodDeparture(time=t, ident=ident)
-
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "ChurnBlock":
         """Pack ``GoodJoin`` / ``GoodDeparture`` events into one block.
@@ -162,30 +142,6 @@ class ChurnBlock:
             sessions=np.asarray(sessions) if any_session else None,
             idents=idents if any_ident else None,
         )
-
-
-#: What churn-accepting APIs take: classic events or blocks.
-ChurnSource = Union[Iterable[Event], Iterable[ChurnBlock]]
-
-
-def events_from_blocks(blocks: Iterable[ChurnBlock]) -> Iterator[Event]:
-    """Per-event adapter over a block stream (lazy, order-preserving)."""
-    for block in blocks:
-        yield from block.iter_events()
-
-
-def flatten_churn(items: Iterable) -> Iterator[Event]:
-    """Per-event view of a mixed stream of events and churn blocks.
-
-    ``ChurnScenario.events`` may interleave both shapes; this is the
-    canonical flattener used by the trace utilities and by
-    ``ChurnScenario.replay``.
-    """
-    for item in items:
-        if isinstance(item, ChurnBlock):
-            yield from item.iter_events()
-        else:
-            yield item
 
 
 def blocks_from_events(

@@ -2,9 +2,9 @@
 
 The paper's guarantees are "despite churn", so the reproduction should
 be drivable by *real* churn: relay consensus flap traces (Winter et
-al.) run to millions of events, far past what the eager
-load-sort-materialize path can hold.  This package makes traces a
-first-class, scalable input:
+al.) run to millions of events, far past what one ``Event`` object per
+row could hold.  This package makes traces a first-class, scalable
+input:
 
 * :mod:`~repro.traces.source`  -- a named :class:`TraceSource` registry
   (packaged fixtures, fetchable URLs, deterministic synthetic specs),
@@ -12,7 +12,7 @@ first-class, scalable input:
   fetch tool that works fully offline;
 * :mod:`~repro.traces.reader`  -- a streaming CSV reader (gzip-aware)
   that emits :class:`~repro.sim.blocks.ChurnBlock` batches directly in
-  bounded memory, bit-compatible with the eager path;
+  bounded memory and rejects unsorted rows with a ``file:line`` error;
 * :mod:`~repro.traces.synthetic` -- a consensus-flap generator
   (heavy-tailed uptimes, diurnal flap rate) for CI- and stress-scale
   traces without any network;
@@ -21,9 +21,9 @@ first-class, scalable input:
 
 Scenario specs plug in through
 :class:`~repro.scenarios.spec.TraceReplay`: a phase's ``path`` is a
-trace ref resolved through :func:`resolve_trace`, and streaming phases
-hand the engine a lazy block stream the zero-heap fast path consumes as
-it is parsed.
+trace ref resolved through :func:`resolve_trace`, and the phase hands
+the engine a lazy block stream the zero-heap fast path consumes as it
+is parsed.
 """
 
 from repro.traces.io import TRACE_CSV_HEADER, file_sha256, open_trace_text

@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from repro.analysis.plotting import format_table
 from repro.churn.traces import save_trace_csv, trace_stats
-from repro.cliutil import pop_option as _pop_option
+from repro.cliutil import pop_number
 from repro.traces.reader import DEFAULT_BLOCK_SIZE, stream_trace_blocks
 from repro.traces.source import (
     fetch_trace,
@@ -83,9 +83,8 @@ def _cmd_fetch(args: List[str]) -> int:
 
 
 def _cmd_stats(args: List[str]) -> int:
-    time_scale = float(_pop_option(args, "--time-scale") or 1.0)
-    duration_opt = _pop_option(args, "--duration")
-    duration = float(duration_opt) if duration_opt else None
+    time_scale = pop_number(args, "--time-scale", default=1.0)
+    duration = pop_number(args, "--duration")
     if len(args) != 1:
         raise SystemExit("stats requires exactly one trace ref")
     path = resolve_trace(args[0])
@@ -106,10 +105,9 @@ def _cmd_stats(args: List[str]) -> int:
 
 
 def _cmd_convert(args: List[str]) -> int:
-    time_scale = float(_pop_option(args, "--time-scale") or 1.0)
-    duration_opt = _pop_option(args, "--duration")
-    duration = float(duration_opt) if duration_opt else None
-    block_size = int(_pop_option(args, "--block-size") or DEFAULT_BLOCK_SIZE)
+    time_scale = pop_number(args, "--time-scale", default=1.0)
+    duration = pop_number(args, "--duration")
+    block_size = pop_number(args, "--block-size", int, DEFAULT_BLOCK_SIZE)
     if len(args) != 2:
         raise SystemExit("convert requires <src> and <dst>")
     src = resolve_trace(args[0])

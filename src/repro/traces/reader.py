@@ -1,28 +1,19 @@
 """Streaming trace reader: CSV rows in, :class:`ChurnBlock` batches out.
 
-The eager path (:func:`repro.churn.traces.load_trace_csv` followed by
-:func:`repro.sim.blocks.blocks_from_events`) materializes one frozen
-``Event`` object per row before packing -- a multi-month consensus flap
-trace with millions of rows would allocate gigabytes just to throw the
-objects away again.  :func:`stream_trace_blocks` instead parses the file
-in bounded chunks and assembles struct-of-arrays blocks directly, so
-peak memory is ``O(block_size)`` regardless of trace length and the
+:func:`stream_trace_blocks` parses a (possibly gzipped) trace file in
+bounded chunks and assembles struct-of-arrays blocks directly, never one
+``Event`` object per row -- a multi-month consensus flap trace with
+millions of rows replays with peak memory ``O(block_size)``, and the
 engine's zero-heap fast path consumes the stream as it is read.
-
-The reader is **bit-compatible** with the eager path: given the same
-file, ``origin``, ``start``, ``time_scale`` and ``duration``, it yields
-blocks whose row values *and* chunk boundaries are identical to packing
-the eager path's shifted events with the default block size -- which is
-what lets the scenario compiler swap one in for the other and produce
-byte-identical metrics (see ``tests/test_traces_streaming.py``).
 
 Streaming contract:
 
 * input rows must be time-sorted (the reader raises, naming the line,
   on the first regression -- it cannot sort without materializing);
 * only blocks come out, never per-event objects;
-* each output block's ``sessions`` / ``idents`` are present only when
-  some row in that block carries one, matching
+* blocks hold ``block_size`` rows (the last one may be shorter), and
+  each block's ``sessions`` / ``idents`` are present only when some row
+  in that block carries one, matching
   :meth:`repro.sim.blocks.ChurnBlock.from_events`.
 """
 
@@ -37,8 +28,8 @@ import numpy as np
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock
 from repro.traces.io import TRACE_CSV_HEADER, open_trace_text
 
-#: Rows per emitted block; matches the generators' and the eager
-#: packer's default so block boundaries line up across paths.
+#: Rows per emitted block; matches the generators' and
+#: :func:`~repro.sim.blocks.blocks_from_events`' default.
 DEFAULT_BLOCK_SIZE = 4096
 
 _NAN = float("nan")
@@ -68,8 +59,7 @@ def stream_trace_blocks(
     row's time, a row at ``t`` lands at ``start + (t - origin) *
     time_scale``, and rows whose scaled offset exceeds ``duration`` end
     the stream (the file's tail is never read).  Sessions are *not*
-    scaled -- they are durations in the replayed timeline, exactly as
-    the eager compiler treats them.
+    scaled -- they are durations in the replayed timeline.
     """
     if block_size <= 0:
         raise ValueError(f"block size must be positive: {block_size}")
@@ -97,10 +87,7 @@ def stream_trace_blocks(
             if t < prev:
                 raise ValueError(
                     f"{path}: line {lineno}: time {t} precedes {prev}; "
-                    "streaming replay requires a time-sorted trace.  "
-                    "Sort it once eagerly (load_trace_csv + "
-                    "save_trace_csv) or replay with "
-                    "TraceReplay(streaming=False)"
+                    "the trace must be time-sorted: sort the rows by time"
                 )
             prev = t
             if origin is None:
@@ -166,7 +153,7 @@ def peek_trace_origin(path: Union[str, Path]) -> Optional[float]:
 class TraceBlockStream:
     """A re-iterable, bounded-memory block view of one trace file.
 
-    This is what the scenario compiler stores for a streaming
+    This is what the scenario compiler stores for a
     :class:`~repro.scenarios.spec.TraceReplay` phase: each iteration
     re-opens the file and yields fresh blocks, so the workload summary
     and the engine can both walk the trace without either one

@@ -16,15 +16,61 @@ Bootstrap, tick arming, the non-churn handlers and the summary are
 borrowed from :class:`~repro.sim.engine.Simulation`; the loop is its
 own and does no batching.
 
+:func:`expand_churn` and :func:`load_trace_events` are the per-event
+references for the block stream and the trace CSV format: the oracle
+walks churn through the first, and the trace reader and CSV writer
+tests compare against both.
+
 :class:`NaiveMembership` plays the same role for
 :class:`~repro.identity.membership.ArenaMembershipSet`: a dict, a
 swap-remove good list, and set snapshots for the symmetric difference
 (no serial watermarks).
 """
 
-from repro.sim.blocks import flatten_churn
+import csv
+
+from repro.sim.blocks import JOIN, ChurnBlock
 from repro.sim.engine import Simulation
 from repro.sim.events import GoodDeparture, GoodJoin
+from repro.traces.io import open_trace_text
+
+
+def expand_churn(items):
+    """Per-event view of a stream of churn blocks and stray events.
+
+    Block rows become ``GoodJoin`` / ``GoodDeparture`` objects (a NaN
+    session reads as no session); other items pass through unchanged.
+    """
+    for item in items:
+        if not isinstance(item, ChurnBlock):
+            yield item
+            continue
+        kinds = item.kinds.tolist()
+        sessions = item.sessions.tolist() if item.sessions is not None else None
+        for i, t in enumerate(item.times.tolist()):
+            ident = item.idents[i] if item.idents is not None else None
+            if kinds[i] == JOIN:
+                s = sessions[i] if sessions is not None else None
+                yield GoodJoin(time=t, ident=ident, session=s if s == s else None)
+            else:
+                yield GoodDeparture(time=t, ident=ident)
+
+
+def load_trace_events(path):
+    """Every row of a (gzip-aware) trace CSV as an event, in file order."""
+    events = []
+    with open_trace_text(path) as handle:
+        for row in csv.DictReader(handle):
+            time = float(row["time"])
+            ident = row["ident"] or None
+            if row["kind"] == "join":
+                session = float(row["session"]) if row["session"] else None
+                events.append(GoodJoin(time=time, ident=ident, session=session))
+            elif row["kind"] == "depart":
+                events.append(GoodDeparture(time=time, ident=ident))
+            else:
+                raise ValueError(f"unknown event kind {row['kind']!r}")
+    return events
 
 
 class ReferenceSimulation(Simulation):
@@ -35,7 +81,7 @@ class ReferenceSimulation(Simulation):
         queue, clock, adversary = self.queue, self.clock, self.adversary
         self._bootstrap()
         self._arm_tick()
-        source = flatten_churn(self._churn)
+        source = expand_churn(self._churn)
         pending = next(source, None)
         wake = float("-inf")
         next_sample = 0.0

@@ -9,14 +9,9 @@ from repro.churn.generators import (
     poisson_join_blocks,
 )
 from repro.churn.sessions import ExponentialSessions, sample_session_array
-from repro.sim.blocks import (
-    DEPART,
-    JOIN,
-    ChurnBlock,
-    blocks_from_events,
-    events_from_blocks,
-)
+from repro.sim.blocks import DEPART, JOIN, ChurnBlock, blocks_from_events
 from repro.sim.events import GoodDeparture, GoodJoin, Tick
+from tests.reference_sim import expand_churn
 
 
 class TestChurnBlock:
@@ -30,7 +25,7 @@ class TestChurnBlock:
         block = ChurnBlock.from_events(events)
         assert len(block) == 4
         assert block.kinds.tolist() == [JOIN, JOIN, DEPART, DEPART]
-        assert list(block.iter_events()) == events
+        assert list(expand_churn([block])) == events
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -61,7 +56,7 @@ class TestChurnBlock:
         events = [GoodJoin(time=float(i)) for i in range(10)]
         blocks = list(blocks_from_events(events, block_size=4))
         assert [len(b) for b in blocks] == [4, 4, 2]
-        assert list(events_from_blocks(blocks)) == events
+        assert list(expand_churn(blocks)) == events
 
 
 class TestSessionArray:
@@ -122,16 +117,6 @@ class TestPoissonBlocks:
                     block_size=0,
                 )
             )
-
-    def test_adapter_yields_goodjoins(self, rng):
-        from repro.churn.generators import poisson_join_stream
-
-        events = list(
-            poisson_join_stream(1.0, ExponentialSessions(10.0), rng, horizon=200.0)
-        )
-        times = [e.time for e in events]
-        assert times == sorted(times)
-        assert all(isinstance(e, GoodJoin) and e.session is not None for e in events)
 
 
 class TestModulatedBlocks:

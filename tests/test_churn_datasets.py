@@ -5,6 +5,7 @@ import pytest
 from repro.churn.datasets import NETWORKS, bitcoin, bittorrent, ethereum, gnutella
 from repro.sim.events import GoodJoin
 from repro.sim.rng import RngRegistry
+from tests.reference_sim import expand_churn
 
 
 def test_all_four_networks_present():
@@ -45,7 +46,7 @@ def test_scenario_structure():
     scenario = gnutella().scenario(horizon=100.0, rng=rngs.stream("c"), n0=50)
     assert len(scenario.initial) == 50
     assert all(m.residual is not None and m.residual >= 0 for m in scenario.initial)
-    events = list(scenario.replay())
+    events = list(expand_churn(scenario.events))
     assert all(isinstance(e, GoodJoin) for e in events)
     assert all(e.time <= 100.0 for e in events)
 

@@ -5,24 +5,33 @@ import pytest
 
 from repro.churn.generators import (
     diurnal_rate,
-    modulated_join_stream,
-    poisson_join_stream,
+    modulated_join_blocks,
+    poisson_join_blocks,
     smooth_trace,
 )
 from repro.churn.sessions import ExponentialSessions
 from repro.sim.events import GoodDeparture, GoodJoin
+from tests.reference_sim import expand_churn
+
+
+def poisson_join_events(*args, **kwargs):
+    return expand_churn(poisson_join_blocks(*args, **kwargs))
+
+
+def modulated_join_events(*args, **kwargs):
+    return expand_churn(modulated_join_blocks(*args, **kwargs))
 
 
 class TestPoissonStream:
     def test_rate_is_respected(self, rng):
         events = list(
-            poisson_join_stream(2.0, ExponentialSessions(10.0), rng, horizon=5000.0)
+            poisson_join_events(2.0, ExponentialSessions(10.0), rng, horizon=5000.0)
         )
         assert len(events) == pytest.approx(10_000, rel=0.1)
 
     def test_events_in_time_order_with_sessions(self, rng):
         events = list(
-            poisson_join_stream(1.0, ExponentialSessions(10.0), rng, horizon=200.0)
+            poisson_join_events(1.0, ExponentialSessions(10.0), rng, horizon=200.0)
         )
         times = [e.time for e in events]
         assert times == sorted(times)
@@ -30,12 +39,12 @@ class TestPoissonStream:
 
     def test_zero_rate_yields_nothing(self, rng):
         assert list(
-            poisson_join_stream(0.0, ExponentialSessions(10.0), rng, horizon=100.0)
+            poisson_join_events(0.0, ExponentialSessions(10.0), rng, horizon=100.0)
         ) == []
 
     def test_horizon_respected(self, rng):
         events = list(
-            poisson_join_stream(5.0, ExponentialSessions(10.0), rng, horizon=50.0)
+            poisson_join_events(5.0, ExponentialSessions(10.0), rng, horizon=50.0)
         )
         assert all(e.time <= 50.0 for e in events)
 
@@ -45,7 +54,7 @@ class TestModulatedStream:
         period = 1000.0
         rate_fn = diurnal_rate(base_rate=2.0, amplitude=0.8, period=period)
         events = list(
-            modulated_join_stream(
+            modulated_join_events(
                 rate_fn, max_rate=4.0, session_dist=ExponentialSessions(10.0),
                 rng=rng, horizon=period,
             )
@@ -59,7 +68,7 @@ class TestModulatedStream:
         def bad_rate(_t):
             return 100.0
 
-        stream = modulated_join_stream(
+        stream = modulated_join_events(
             bad_rate, max_rate=1.0, session_dist=ExponentialSessions(10.0),
             rng=rng, horizon=100.0,
         )

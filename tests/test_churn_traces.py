@@ -1,15 +1,16 @@
-"""Tests for trace containers, statistics, and CSV round-trips."""
+"""Tests for churn scenarios, block-stream statistics, and CSV output."""
 
 import pytest
 
 from repro.churn.traces import (
     ChurnScenario,
     InitialMember,
-    load_trace_csv,
     save_trace_csv,
     trace_stats,
 )
+from repro.sim.blocks import ChurnBlock, blocks_from_events
 from repro.sim.events import GoodDeparture, GoodJoin
+from tests.reference_sim import expand_churn, load_trace_events
 
 
 def sample_events():
@@ -20,9 +21,13 @@ def sample_events():
     ]
 
 
+def sample_blocks():
+    return list(blocks_from_events(sample_events()))
+
+
 class TestTraceStats:
     def test_counts_and_rates(self):
-        stats = trace_stats(sample_events())
+        stats = trace_stats(sample_blocks())
         assert stats.joins == 2
         assert stats.departures == 1
         assert stats.duration == pytest.approx(3.0)
@@ -43,17 +48,23 @@ class TestTraceStats:
             GoodJoin(time=2.5, ident="c"),
             GoodDeparture(time=2.6, ident="a"),
         ]
-        assert trace_stats(events).peak_joins_1s == 2
+        assert trace_stats(blocks_from_events(events)).peak_joins_1s == 2
 
     def test_unsorted_events_use_earliest_time(self):
-        # Per-event items may arrive in any order: the trace starts at
-        # the earliest one, not at whichever came first.
+        # Blocks may arrive in any order: the trace starts at the
+        # earliest one, not at whichever came first.
         stats = trace_stats(
-            [GoodJoin(time=5.0), GoodJoin(time=1.0), GoodJoin(time=3.0)]
+            [ChurnBlock.from_events([GoodJoin(time=t)]) for t in (5.0, 1.0, 3.0)]
         )
         assert stats.first_time == 1.0
         assert stats.duration == pytest.approx(4.0)
         assert stats.join_rate == pytest.approx(0.75)
+
+    def test_event_items_rejected_with_packing_hint(self, tmp_path):
+        with pytest.raises(TypeError, match="blocks_from_events"):
+            trace_stats(sample_events())
+        with pytest.raises(TypeError, match="blocks_from_events"):
+            save_trace_csv(tmp_path / "t.csv", sample_events())
 
 
 class TestBlockVectorizedStats:
@@ -61,8 +72,6 @@ class TestBlockVectorizedStats:
 
     def _block(self):
         import numpy as np
-
-        from repro.sim.blocks import ChurnBlock
 
         return ChurnBlock(
             [1.0, 1.5, 2.0, 4.0],
@@ -72,11 +81,13 @@ class TestBlockVectorizedStats:
         )
 
     def test_blocks_match_expanded_events(self):
-        from repro.sim.blocks import flatten_churn
-
         blocks = [self._block()]
         from_blocks = trace_stats(blocks)
-        from_events = trace_stats(list(flatten_churn(blocks)))
+        # One row per block: the per-row reduction the vectorized one
+        # must reproduce.
+        from_events = trace_stats(
+            [ChurnBlock.from_events([e]) for e in expand_churn(blocks)]
+        )
         assert from_blocks.joins == from_events.joins == 3
         assert from_blocks.departures == from_events.departures == 1
         assert from_blocks.first_time == from_events.first_time
@@ -86,66 +97,35 @@ class TestBlockVectorizedStats:
             from_events.mean_session
         )
 
-    def test_no_event_objects_built_for_blocks(self, monkeypatch):
-        from repro.sim.blocks import ChurnBlock
-
-        def boom(self):  # pragma: no cover - the point is it never runs
-            raise AssertionError("trace_stats expanded a block")
-
-        monkeypatch.setattr(ChurnBlock, "iter_events", boom)
-        stats = trace_stats([self._block()])
-        assert stats.joins == 3
-
     def test_mixed_blocks_and_events(self):
-        stats = trace_stats([self._block(), GoodJoin(time=10.0, ident="z")])
+        # Hand-written events join a block stream once packed.
+        stats = trace_stats(
+            [self._block(), *blocks_from_events([GoodJoin(time=10.0, ident="z")])]
+        )
         assert stats.joins == 4
         assert stats.last_time == 10.0
 
 
 class TestScenario:
-    def test_materialize_allows_replay(self):
+    def test_generator_backed_scenario_reads_twice(self):
         scenario = ChurnScenario(
-            name="s", initial=[InitialMember("x")], events=iter(sample_events())
+            name="s", initial=[InitialMember("x")], events=iter(sample_blocks())
         )
-        scenario.materialize()
-        assert len(list(scenario.replay())) == 3
-        assert len(list(scenario.replay())) == 3  # replayable
-
-    def test_replay_without_materialize_raises(self):
-        scenario = ChurnScenario(name="s", initial=[], events=iter([]))
-        with pytest.raises(TypeError, match="materialize"):
-            scenario.replay()
+        assert trace_stats(scenario.events).joins == 2
+        assert trace_stats(scenario.events).joins == 2  # listed once
 
 
 class TestSingleUseGuard:
-    """Regression: consuming an unmaterialized scenario's events used to
-    silently exhaust the stream; the next consumer saw an empty trace."""
+    """Scenario events are listed once at construction, whatever the
+    source, so every consumer sees the whole trace."""
 
     def _lazy_scenario(self):
         return ChurnScenario(
-            name="lazy", initial=[], events=iter(sample_events())
+            name="lazy", initial=[], events=iter(sample_blocks())
         )
 
-    def test_stats_then_materialize_raises_clearly(self):
-        scenario = self._lazy_scenario()
-        stats = trace_stats(scenario.events)
-        assert stats.joins == 2  # the first pass works normally
-        with pytest.raises(RuntimeError, match="already consumed"):
-            scenario.materialize()
-
-    def test_second_stats_pass_raises_instead_of_empty(self):
-        scenario = self._lazy_scenario()
-        trace_stats(scenario.events)
-        with pytest.raises(RuntimeError, match="materialize"):
-            trace_stats(scenario.events)
-
-    def test_materialize_first_is_fine(self):
-        scenario = self._lazy_scenario().materialize()
-        assert trace_stats(scenario.events).joins == 2
-        assert trace_stats(scenario.events).joins == 2
-
     def test_list_backed_scenario_unaffected(self):
-        scenario = ChurnScenario(name="s", initial=[], events=sample_events())
+        scenario = ChurnScenario(name="s", initial=[], events=sample_blocks())
         assert trace_stats(scenario.events).joins == 2
         assert trace_stats(scenario.events).joins == 2
 
@@ -158,26 +138,12 @@ class TestSingleUseGuard:
         # first real consumer still gets every event.
         assert trace_stats(copy.events).joins == 2
 
-    def test_reiterable_containers_not_wrapped(self):
-        # Only true iterators are single-use; a deque (or any other
-        # re-iterable Sequence-ish container) must keep working twice.
-        from collections import deque
-
-        scenario = ChurnScenario(
-            name="s", initial=[], events=deque(sample_events())
-        )
-        assert trace_stats(scenario.events).joins == 2
-        assert trace_stats(scenario.events).joins == 2
-        scenario.materialize()
-        assert len(list(scenario.replay())) == 3
-
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trace.csv"
-        events = sample_events()
-        save_trace_csv(path, events)
-        loaded = load_trace_csv(path)
+        save_trace_csv(path, sample_blocks())
+        loaded = load_trace_events(path)
         assert len(loaded) == 3
         assert isinstance(loaded[0], GoodJoin)
         assert loaded[0].ident == "a"
@@ -187,8 +153,8 @@ class TestCsvRoundTrip:
 
     def test_join_without_session(self, tmp_path):
         path = tmp_path / "trace.csv"
-        save_trace_csv(path, [GoodJoin(time=1.0, ident="a")])
-        loaded = load_trace_csv(path)
+        save_trace_csv(path, blocks_from_events([GoodJoin(time=1.0, ident="a")]))
+        loaded = load_trace_events(path)
         assert loaded[0].session is None
 
     def test_unknown_event_type_rejected(self, tmp_path):
@@ -231,14 +197,12 @@ class TestBlockModeCsvRoundTrip:
         return compile_scenario(spec, np.random.default_rng(13)).blocks
 
     def test_scenario_blocks_round_trip(self, tmp_path):
-        from repro.sim.blocks import blocks_from_events, flatten_churn
-
         blocks = self._compiled_blocks()
-        original = list(flatten_churn(blocks))
+        original = list(expand_churn(blocks))
         assert original, "fixture produced no churn"
         path = tmp_path / "blocks.csv"
         save_trace_csv(path, blocks)
-        loaded = load_trace_csv(path)
+        loaded = load_trace_events(path)
         assert len(loaded) == len(original)
         for orig, back in zip(original, loaded):
             assert type(back) is type(orig)
@@ -248,13 +212,11 @@ class TestBlockModeCsvRoundTrip:
         # Times stay non-decreasing, so the loaded trace re-packs into
         # engine-ready blocks (this is the block-mode round trip).
         repacked = list(blocks_from_events(loaded))
-        flat = list(flatten_churn(repacked))
+        flat = list(expand_churn(repacked))
         assert [type(e) for e in flat] == [type(e) for e in loaded]
         assert [e.time for e in flat] == [e.time for e in loaded]
 
     def test_same_instant_ties_preserved(self, tmp_path):
-        from repro.sim.blocks import ChurnBlock, flatten_churn
-
         # A synchronized burst: three joins and a departure at t=10.0,
         # in a deliberate order that only file order can preserve.
         block = ChurnBlock(
@@ -264,42 +226,45 @@ class TestBlockModeCsvRoundTrip:
         )
         path = tmp_path / "ties.csv"
         save_trace_csv(path, [block])
-        loaded = load_trace_csv(path)
+        loaded = load_trace_events(path)
         assert [e.ident for e in loaded] == ["j1", "j2", "victim", "j3"]
         assert [type(e) for e in loaded] == [
             GoodJoin, GoodJoin, GoodDeparture, GoodJoin,
         ]
 
     def test_block_writer_bytes_match_event_writer(self, tmp_path):
-        from repro.sim.blocks import flatten_churn
+        import numpy as np
 
-        blocks = self._compiled_blocks()
-        block_path = tmp_path / "blocks.csv"
-        event_path = tmp_path / "events.csv"
-        save_trace_csv(block_path, blocks)
-        save_trace_csv(event_path, list(flatten_churn(self._compiled_blocks())))
-        assert block_path.read_bytes() == event_path.read_bytes()
-
-    def test_writer_streams_blocks_without_expansion(self, tmp_path, monkeypatch):
-        from repro.sim.blocks import ChurnBlock
-
-        def boom(self):  # pragma: no cover - the point is it never runs
-            raise AssertionError("save_trace_csv expanded a block")
-
-        monkeypatch.setattr(ChurnBlock, "iter_events", boom)
-        save_trace_csv(tmp_path / "t.csv", self._compiled_blocks())
-        loaded = load_trace_csv(tmp_path / "t.csv")
-        assert len(loaded) > 0
+        # The bytes the per-event writer produced for these rows: six
+        # decimals, and an empty cell for a missing ident, a NaN or 0.0
+        # session and every departure's session.
+        block = ChurnBlock(
+            [0.5, 1.25, 2.0, 2.0, 3.1234567, 4.0],
+            [0, 0, 0, 1, 1, 0],
+            sessions=np.asarray(
+                [5.5, float("nan"), 0.0, float("nan"), float("nan"), 1e-7]
+            ),
+            idents=["a", None, "b", "a", None, ""],
+        )
+        path = tmp_path / "blocks.csv"
+        save_trace_csv(path, [block])
+        assert path.read_bytes() == (
+            b"time,kind,ident,session\r\n"
+            b"0.500000,join,a,5.5\r\n"
+            b"1.250000,join,,\r\n"
+            b"2.000000,join,b,\r\n"
+            b"2.000000,depart,a,\r\n"
+            b"3.123457,depart,,\r\n"
+            b"4.000000,join,,1e-07\r\n"
+        )
 
     def test_lazy_block_iterable_accepted(self, tmp_path):
         # A generator of blocks streams through without materialization.
         save_trace_csv(tmp_path / "t.csv", iter(self._compiled_blocks()))
-        assert len(load_trace_csv(tmp_path / "t.csv")) > 0
+        assert len(load_trace_events(tmp_path / "t.csv")) > 0
 
     def test_session_kinds_survive(self, tmp_path):
         import numpy as np
-
-        from repro.sim.blocks import ChurnBlock
 
         block = ChurnBlock(
             [1.0, 2.0, 3.0],
@@ -309,7 +274,7 @@ class TestBlockModeCsvRoundTrip:
         )
         path = tmp_path / "sessions.csv"
         save_trace_csv(path, [block])
-        loaded = load_trace_csv(path)
+        loaded = load_trace_events(path)
         assert loaded[0].session == pytest.approx(5.5)
         assert loaded[1].session is None
         assert loaded[1].ident is None

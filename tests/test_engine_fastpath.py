@@ -45,7 +45,7 @@ from repro.sim.engine import PATH_COUNTERS, Simulation, SimulationConfig
 from repro.sim.events import Callback, GoodDeparture, GoodJoin
 from repro.sim.null_defense import NullDefense
 from repro.sim.rng import RngRegistry
-from tests.reference_sim import ReferenceSimulation
+from tests.reference_sim import ReferenceSimulation, expand_churn
 
 DEFENSES = {
     "ergo": Ergo,
@@ -312,7 +312,7 @@ class TestTotalOrderPreserved:
         assert fast_log == heap_log
 
     def test_mixed_event_and_block_streams(self):
-        # ChurnScenario documents events as "events and/or churn blocks";
+        # The engine packs stray per-event items into one-row blocks;
         # both orderings must match the oracle.
         mixed_event_first = [
             GoodJoin(time=1.0, ident="e0"),
@@ -395,7 +395,7 @@ class TestRandomizedOrderEquivalence:
         block = ChurnBlock(times, kinds, sessions=sessions, idents=idents)
         blocks = list(
             blocks_from_events(
-                list(block.iter_events()), block_size=int(r.integers(2, 10))
+                list(expand_churn([block])), block_size=int(r.integers(2, 10))
             )
         )
         tick = float(r.choice([0.0, 0.5, 1.0]))

@@ -1,9 +1,9 @@
 """Smoke-run every example script so the examples can't rot.
 
-Each example is executed in-process with its ``main()`` where cheap, or
-via subprocess for the heavier ones marked ``slow`` (excluded from the
-default run with ``-m 'not slow'`` if desired; they complete in tens of
-seconds).
+The cheap examples run in-process; the heavier ones (``SLOW_EXAMPLES``,
+tens of seconds each) run as subprocesses.  No marker separates them:
+both kinds are part of the default run.  The two examples too heavy
+for that are left out by name in ``test_every_example_is_covered``.
 """
 
 import runpy

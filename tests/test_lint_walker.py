@@ -159,12 +159,6 @@ class TestLintFile:
         assert rendered.startswith(f"{CORE}:1:")
         assert "R001[determinism]" in rendered
 
-    def test_excluded_path_is_skipped(self):
-        from repro.devtools.config import LintConfig
-
-        config = LintConfig(exclude=("repro/sim/fixture.py",))
-        assert lint_file(CORE, source="import random\n", config=config) == []
-
 
 class TestIterPythonFiles:
     def test_expands_dirs_skips_pycache_dedups(self, tmp_path):

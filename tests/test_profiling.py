@@ -268,16 +268,6 @@ class TestSweepPlumbing:
         assert rollup["spans"]
         assert rollup["wall_s"] > 0
 
-    def test_execution_policy_profile_flag(self):
-        from repro.experiments.runtime import ExecutionPolicy
-
-        report = run_catalog(
-            scenarios=[SCENARIO], defenses=["Null"], seed=11,
-            n0_scale=N0_SCALE, policy=ExecutionPolicy(profile=True),
-        )
-        assert "profile" in report
-        assert all("profile" in row for row in report["rows"])
-
     def test_unprofiled_catalog_has_no_rollup(self):
         report = run_catalog(
             scenarios=[SCENARIO], defenses=["Null"], seed=11,

@@ -203,21 +203,6 @@ class TestCompile:
         second = [b.times.tolist() for b in compiled.iter_blocks()]
         assert first == second
 
-    def test_trace_replay_eager_opt_out_materializes(self):
-        from repro.sim.blocks import ChurnBlock
-
-        spec = _spec(
-            [
-                TraceReplay(
-                    path="tor_relay_flap.csv", duration=500.0, streaming=False
-                )
-            ],
-            n0=20,
-        )
-        compiled = compile_scenario(spec, _rng())
-        assert all(isinstance(b, ChurnBlock) for b in compiled.blocks)
-        assert sum(len(b) for b in compiled.blocks) == 183
-
     def test_trace_replay_clips_at_duration(self):
         spec = _spec(
             [TraceReplay(path="tor_relay_flap.csv", duration=100.0)], n0=20

@@ -192,3 +192,19 @@ class TestEndToEnd:
         assert rows["count"] == 1
         assert rows["rows"][0]["row"]["scenario"] == "flash-crowd"
         supervisor.drain(10.0)
+
+
+@pytest.mark.parametrize(
+    "flag, value, noun",
+    [
+        ("--port", "abc", "an integer"),
+        ("--max-workers", "two", "an integer"),
+        ("--drain-timeout", "soon", "a number"),
+    ],
+)
+def test_cli_non_numeric_option_exits_before_booting(flag, value, noun):
+    # Same wording as every other repro CLI, and nothing is bound.
+    from repro.serve.cli import main
+
+    with pytest.raises(SystemExit, match=f"^{flag} expects {noun}, got '{value}'$"):
+        main([flag, value])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.churn.traces import load_trace_csv
 from repro.traces.cli import main
+from tests.reference_sim import load_trace_events
 
 
 @pytest.fixture
@@ -72,13 +72,32 @@ def test_convert_gz_round_trip(capsys, cache_dir, tmp_path):
     assert main(["fetch", "synthetic-flap-ci"]) == 0
     dst = tmp_path / "flat.csv"
     assert main(["convert", "synthetic-flap-ci", str(dst)]) == 0
-    events = load_trace_csv(dst)
+    events = load_trace_events(dst)
     assert len(events) > 100
     again = tmp_path / "again.csv.gz"
     assert main(["convert", str(dst), str(again)]) == 0
-    assert [e.time for e in load_trace_csv(again)] == [e.time for e in events]
+    assert [e.time for e in load_trace_events(again)] == [e.time for e in events]
 
 
 def test_convert_requires_src_and_dst(cache_dir):
     with pytest.raises(SystemExit, match="convert requires"):
         main(["convert", "only-one"])
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, noun",
+    [
+        ("stats", "--time-scale", "abc", "a number"),
+        ("stats", "--duration", "soon", "a number"),
+        ("convert", "--block-size", "x", "an integer"),
+    ],
+)
+def test_non_numeric_option_names_the_flag(
+    cache_dir, tmp_path, command, flag, value, noun
+):
+    refs = ["tor-relay-flap"]
+    if command == "convert":
+        refs.append(str(tmp_path / "out.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *refs, flag, value])
+    assert str(exc.value) == f"{flag} expects {noun}, got '{value}'"

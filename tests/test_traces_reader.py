@@ -1,17 +1,18 @@
-"""Streaming trace reader: parity with the eager path, bounded chunks."""
+"""Streaming trace reader: parity with a per-event reference, bounded chunks."""
 
 import gzip
 
 import numpy as np
 import pytest
 
-from repro.churn.traces import load_trace_csv, save_trace_csv
+from repro.churn.traces import save_trace_csv
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock, blocks_from_events
 from repro.traces.reader import (
     TraceBlockStream,
     peek_trace_origin,
     stream_trace_blocks,
 )
+from tests.reference_sim import load_trace_events
 
 
 def _fixture_blocks(rng, n=300):
@@ -60,15 +61,15 @@ def _assert_same_structure(got, expected):
 class TestStreamVsEager:
     def test_identical_blocks_to_eager_path(self, rng, tmp_path):
         path = _write_trace(tmp_path / "t.csv", _fixture_blocks(rng))
-        eager = list(blocks_from_events(load_trace_csv(path)))
-        # origin=0 keeps absolute times, matching the eager loader; the
-        # default rebases to the first row (what replay phases want).
+        reference = list(blocks_from_events(load_trace_events(path)))
+        # origin=0 keeps absolute times, matching the reference loader;
+        # the default rebases to the first row (what replay phases want).
         streamed = list(stream_trace_blocks(path, origin=0.0))
-        _assert_same_structure(streamed, eager)
+        _assert_same_structure(streamed, reference)
 
     def test_rebase_scale_clip_match_eager_semantics(self, rng, tmp_path):
         path = _write_trace(tmp_path / "t.csv", _fixture_blocks(rng))
-        events = sorted(load_trace_csv(path), key=lambda e: e.time)
+        events = sorted(load_trace_events(path), key=lambda e: e.time)
         origin = events[0].time
         start, scale, duration = 100.0, 0.5, 80.0
         expected = []

@@ -1,16 +1,10 @@
-"""Streaming replay wiring: byte-identical metrics, laziness, aliasing."""
-
-import json
+"""Streaming replay wiring: laziness, unsorted input, aliasing."""
 
 import numpy as np
 import pytest
 
 from repro.scenarios.compile import compile_scenario
-from repro.scenarios.run import (
-    SCENARIO_DEFENSES,
-    ScenarioPointSpec,
-    run_spec_point,
-)
+from repro.scenarios.run import ScenarioPointSpec, run_spec_point
 from repro.scenarios.spec import (
     ScenarioSpec,
     SessionSpec,
@@ -22,46 +16,21 @@ from repro.sim.blocks import ChurnBlock
 from repro.traces.reader import TraceBlockStream
 
 
-def _tor_spec(streaming):
+def _tor_spec():
     return ScenarioSpec(
-        name="tor-replay-eq",
-        description="eager-vs-streaming equivalence fixture",
+        name="tor-replay",
+        description="streamed replay fixture",
         phases=(
-            TraceReplay(
-                path="tor_relay_flap.csv", duration=500.0, streaming=streaming
-            ),
+            TraceReplay(path="tor_relay_flap.csv", duration=500.0),
             Silence(duration=100.0),
         ),
         n0=120,
     )
 
 
-class TestByteIdenticalMetrics:
-    """The packaged fixture read via the streaming reader yields
-    byte-identical scenario metrics JSON to the eager path."""
-
-    def test_all_defenses_match(self):
-        for defense in SCENARIO_DEFENSES:
-            point = ScenarioPointSpec(
-                scenario="tor-replay-eq", defense=defense, seed=17, t_rate=64.0
-            )
-            eager = run_spec_point(_tor_spec(False), point)
-            streamed = run_spec_point(_tor_spec(True), point)
-            assert json.dumps(eager, sort_keys=True) == json.dumps(
-                streamed, sort_keys=True
-            ), defense
-
-    def test_summaries_match(self):
-        rng = np.random.default_rng(4)
-        eager = compile_scenario(_tor_spec(False), rng)
-        rng = np.random.default_rng(4)
-        streamed = compile_scenario(_tor_spec(True), rng)
-        assert eager.summary() == streamed.summary()
-
-
 class TestLazyCompilation:
     def test_streaming_part_is_not_materialized(self):
-        compiled = compile_scenario(_tor_spec(True), np.random.default_rng(1))
+        compiled = compile_scenario(_tor_spec(), np.random.default_rng(1))
         parts = [p for p in compiled.blocks if not isinstance(p, ChurnBlock)]
         assert len(parts) == 1
         assert isinstance(parts[0], TraceBlockStream)
@@ -93,6 +62,33 @@ class TestLazyCompilation:
         assert compiled.warnings == []
 
 
+class TestUnsortedTrace:
+    def test_unsorted_trace_fails_run_with_line_and_sort_advice(self, tmp_path):
+        # Unsorted rows are malformed input: the run fails with the
+        # reader's file:line diagnostic, not with silently reordered
+        # churn.
+        path = tmp_path / "unsorted.csv"
+        path.write_text(
+            "time,kind,ident,session\n"
+            "0.0,join,a,\n"
+            "5.0,join,b,\n"
+            "2.0,depart,a,\n"
+        )
+        spec = ScenarioSpec(
+            name="unsorted",
+            description="x",
+            phases=(TraceReplay(path=str(path), duration=10.0),),
+            n0=10,
+        )
+        point = ScenarioPointSpec(
+            scenario="unsorted", defense="Null", seed=3, t_rate=0.0
+        )
+        with pytest.raises(
+            ValueError, match=r"unsorted\.csv: line 4: .*sort the rows by time"
+        ):
+            run_spec_point(spec, point)
+
+
 class TestTraceIdentAliasing:
     """Named trace departures must remove the *re-issued* member.
 
@@ -102,11 +98,9 @@ class TestTraceIdentAliasing:
     standing ID.
     """
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_flapping_ident_does_not_leak(self, tmp_path, streaming):
-        # Both loaders carry the trace's idents into the engine: the
-        # eager one through ``blocks_from_events``, the streaming one
-        # through ``TraceBlockStream``'s ident column.
+    def test_flapping_ident_does_not_leak(self, tmp_path):
+        # The trace's idents reach the engine through
+        # ``TraceBlockStream``'s ident column.
         path = tmp_path / "flap.csv"
         lines = ["time,kind,ident,session"]
         t = 0.0
@@ -119,7 +113,7 @@ class TestTraceIdentAliasing:
             name="alias-check",
             description="x",
             phases=(
-                TraceReplay(path=str(path), duration=100.0, streaming=streaming),
+                TraceReplay(path=str(path), duration=100.0),
             ),
             n0=10,
             # Sessions far beyond the horizon: no background departures
