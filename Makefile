@@ -3,6 +3,15 @@ export PYTHONPATH := src
 
 .PHONY: lint test smoke scenarios chaos serve-smoke traces-smoke profile-smoke perfbench-smoke scale-gates
 
+# $(call no-traceback,CMD): run CMD, replay its stderr, and fail if CMD
+# fails or a Python traceback reached its stderr.  A pool worker that
+# dies loudly leaves the sweep's own exit status at 0, so the status
+# alone does not show it.
+no-traceback = err=$$(mktemp) && { $(1); } 2> "$$err"; status=$$?; \
+	cat "$$err" >&2; traced=$$(grep -c Traceback "$$err"); rm -f "$$err"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if [ $$traced -ne 0 ]; then echo "$$traced Traceback(s) on stderr" >&2; exit 1; fi
+
 # Static invariant lint: determinism boundary, atomic writes, serve
 # thread-safety, defense hook contracts, broad-except justification.
 # `$(PYTHON) -m repro lint --list-rules` prints the rule catalog and
@@ -17,22 +26,24 @@ test:
 
 # The CI smoke run: quick Figure 8 sweep through the parallel executor.
 smoke:
-	$(PYTHON) -m repro figure8 --quick --jobs 2
+	$(call no-traceback,$(PYTHON) -m repro figure8 --quick --jobs 2)
 
 # Scenario-catalog smoke: every catalog scenario under every defense at
 # small scale (deterministic metrics JSON lands in results/).
 scenarios:
-	$(PYTHON) -m repro scenarios run --all --quick --jobs 2
+	$(call no-traceback,$(PYTHON) -m repro scenarios run --all --quick --jobs 2)
 
 # Chaos smoke: the fault-tolerant sweep runtime under deterministic
 # injected faults -- a worker crash (pool rebuild), an injected
 # exception (retry), a hang that outlives the per-point timeout (pool
 # teardown + retry) and a slowed point.  Must exit 0: every point
-# recovers within its retry budget and no completed row is lost.
+# recovers within its retry budget and no completed row is lost.  The
+# crash, raise and hang are injected in workers, so their tracebacks
+# would only show up as stray worker output; none may reach stderr.
 chaos:
-	$(PYTHON) -m repro scenarios run flash-crowd --quick --jobs 4 \
+	$(call no-traceback,$(PYTHON) -m repro scenarios run flash-crowd --quick --jobs 4 \
 		--max-retries 3 --point-timeout 30 \
-		--fault-spec "crash@0;raise@2;hang@3:300;slow@4:0.2"
+		--fault-spec "crash@0;raise@2;hang@3:300;slow@4:0.2")
 
 # Service smoke: boot `repro serve` on an ephemeral port, submit a
 # catalog job with an injected worker crash (crash@0), poll it to
@@ -58,7 +69,7 @@ traces-smoke:
 	sed 1d "$$tmp/src.txt" > "$$tmp/src.body" && \
 	sed 1d "$$tmp/copy.txt" > "$$tmp/copy.body" && \
 	cmp "$$tmp/src.body" "$$tmp/copy.body"
-	$(PYTHON) -m repro scenarios run consensus-flap tor-relay-replay --quick --jobs 2
+	$(call no-traceback,$(PYTHON) -m repro scenarios run consensus-flap tor-relay-replay --quick --jobs 2)
 
 # Cost-attribution smoke: profile the acceptance point (flash-crowd
 # under ERGO), prove byte-identical metrics with profiling off

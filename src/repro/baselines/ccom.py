@@ -38,7 +38,7 @@ class CCom(Ergo):
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
         unique = self.ids.issue(ident if ident is not None else "g")
         self.accountant.charge_good(1.0, category="entrance")
-        self.population.good_join(unique, self.now)
+        self.population.good_join(unique)
         self._note_events(joins=1)
         return unique
 

@@ -63,7 +63,7 @@ class Remp(Defense):
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
         unique = self.ids.issue(ident if ident is not None else "g")
         self.accountant.charge_good(1.0, category="entrance")
-        self.population.good_join(unique, self.now)
+        self.population.good_join(unique)
         return unique
 
     def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:

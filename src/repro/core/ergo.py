@@ -182,7 +182,7 @@ class Ergo(Defense):
                 # fresh ID (Section 10.1, ERGO-SF).
                 self.sim.metrics.counters.add("good_refused")
                 continue
-            self.population.good_join(unique, self.now)
+            self.population.good_join(unique)
             self._note_events(joins=1)
             return unique
         self.sim.metrics.counters.add("good_abandoned")
@@ -268,7 +268,7 @@ class Ergo(Defense):
                     for p in idents[i : i + k]
                 ]
             accountant.charge_good_batch(costs, "entrance")
-            add_batch(uniques, True, chunk)
+            add_batch(uniques)
             admitted += uniques
             self._joins_in_iter += k
             self._event_counter += k
@@ -314,7 +314,7 @@ class Ergo(Defense):
             proposed = idents[i] if idents is not None else None
             unique = issue(proposed if proposed is not None else "g")
             charge(cost, "entrance")
-            good_join(unique, t)
+            good_join(unique)
             window.record(t, 1)
             self._joins_in_iter += 1
             self._event_counter += 1

@@ -170,8 +170,8 @@ class SystemPopulation:
         return good_diff + self.bad.sym_diff(name)
 
     # -- mutation ------------------------------------------------------------
-    def good_join(self, ident: str, now: float) -> None:
-        self.good.add(ident, is_good=True, now=now)
+    def good_join(self, ident: str) -> None:
+        self.good.add(ident)
 
     def good_depart(self, ident: str) -> bool:
         return self.good.discard(ident)

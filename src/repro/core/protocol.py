@@ -78,7 +78,7 @@ class Defense(abc.ABC):
         """
         count = 0
         for ident in idents:
-            self.population.good_join(ident, self.now)
+            self.population.good_join(ident)
             self.accountant.charge_good(1.0, category="init")
             count += 1
         self.after_bootstrap(count)
@@ -211,7 +211,7 @@ class Defense(abc.ABC):
         bookkeeping (SybilControl, REMP): each row keeps its own
         timestamp and charge, but names, charges, and membership go
         through the whole-run batch APIs (``IdentityFactory.issue_batch``,
-        ``charge_good_batch``, ``MembershipSet.add_batch``) instead of
+        ``charge_good_batch``, ``ArenaMembershipSet.add_batch``) instead of
         per-row calls.
         """
         k = len(times)
@@ -223,7 +223,7 @@ class Defense(abc.ABC):
                 issue(ident if ident is not None else "g") for ident in idents
             ]
         self.accountant.charge_good_batch([cost] * k, "entrance")
-        self.population.good.add_batch(uniques, True, times)
+        self.population.good.add_batch(uniques)
         return uniques
 
     def _removal_departure_batch(self, times, idents=None) -> None:
@@ -235,7 +235,7 @@ class Defense(abc.ABC):
         either way, and unnamed victims fall back to the per-ID hook so
         the uniform random draw order matches the per-ID loop.  Fully
         named runs (the engine's session-departure drains) go through
-        ``MembershipSet.remove_batch`` in one call.
+        ``ArenaMembershipSet.remove_batch`` in one call.
         """
         if idents is None:
             Defense.process_good_departure_batch(self, times, idents)

@@ -87,7 +87,7 @@ class EstimationHarness(Defense):
 
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
         unique = self.ids.issue(ident if ident is not None else "g")
-        self.population.good_join(unique, self.now)
+        self.population.good_join(unique)
         self._good_joins_in_interval += 1
         self._after_event(joins=1)
         return unique
@@ -174,6 +174,6 @@ class EstimationHarness(Defense):
         """Initial members join for free (estimation-only harness)."""
         count = 0
         for ident in idents:
-            self.population.good_join(ident, self.now)
+            self.population.good_join(ident)
             count += 1
         self.after_bootstrap(count)

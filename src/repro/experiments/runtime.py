@@ -475,6 +475,22 @@ class _SweepState:
         self.pending.append(index)
 
 
+def _restore_sigterm() -> None:
+    """Pool worker initializer: let SIGTERM kill the worker outright.
+
+    A forked worker inherits the coordinator's SIGTERM handler -- the
+    CLI's :func:`_sigterm_as_interrupt` or the service's stop handler --
+    so :func:`_kill_pool`'s ``terminate`` would print a
+    ``KeyboardInterrupt`` traceback from every idle worker, or be
+    ignored by a hung one until the SIGKILL escalation.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _new_pool(jobs: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_restore_sigterm)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down *now*, escalating to SIGKILL for stuck workers."""
     procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -514,7 +530,7 @@ def _drain_in_flight(
 
 def _parallel_loop(state: _SweepState) -> None:
     policy = state.policy
-    pool = ProcessPoolExecutor(max_workers=state.jobs)
+    pool = _new_pool(state.jobs)
     in_flight: Dict[Future, Tuple[int, float]] = {}
     if policy.point_timeout is None:
         tick = 0.25
@@ -550,7 +566,7 @@ def _parallel_loop(state: _SweepState) -> None:
                         exc, "worker crashed (process pool broken)",
                     )
                     _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=state.jobs)
+                    pool = _new_pool(state.jobs)
                     rebuilt = True
                     break
                 state.pending.remove(index)
@@ -598,7 +614,7 @@ def _parallel_loop(state: _SweepState) -> None:
                     broken, "worker crashed (process pool broken)",
                 )
                 _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=state.jobs)
+                pool = _new_pool(state.jobs)
                 continue
 
             if state.checkpoint is not None:
@@ -625,7 +641,7 @@ def _parallel_loop(state: _SweepState) -> None:
                         f"timed out after {policy.point_timeout:g}s",
                     )
                     _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=state.jobs)
+                    pool = _new_pool(state.jobs)
     finally:
         _kill_pool(pool)
 

@@ -13,11 +13,11 @@ Implements the paper's bookkeeping assumptions (Section 2.1.1):
 
 from repro.identity.heartbeat import HeartbeatMonitor
 from repro.identity.ids import IdentityFactory
-from repro.identity.membership import MembershipSet, SymmetricDifferenceTracker
+from repro.identity.membership import ArenaMembershipSet, SymmetricDifferenceTracker
 
 __all__ = [
+    "ArenaMembershipSet",
     "HeartbeatMonitor",
     "IdentityFactory",
-    "MembershipSet",
     "SymmetricDifferenceTracker",
 ]

@@ -133,14 +133,6 @@ class ProfileReport(NamedTuple):
             return 0.0
         return sum(row.self_s for row in self.rows) / self.wall_s
 
-    def by_span(self) -> Dict[str, Tuple[float, float]]:
-        """Leaf-name rollup: span -> (summed total_s, summed self_s)."""
-        out: Dict[str, Tuple[float, float]] = {}
-        for row in self.rows:
-            total, self_time = out.get(row.span, (0.0, 0.0))
-            out[row.span] = (total + row.total_s, self_time + row.self_s)
-        return out
-
     def table(self, top: Optional[int] = None) -> str:
         """Self-time table, hottest span first."""
         rows = sorted(self.rows, key=lambda r: (-r.self_s, r.path))
@@ -397,7 +389,6 @@ class SpanProfiler:
                 "membership.remove_batch", batch=True,
             )
             self._shadow(membership, "add", "membership.add")
-            self._shadow(membership, "remove", "membership.remove")
             self._shadow(membership, "discard", "membership.discard")
 
     def _shadow(self, obj, attr: str, span: str, batch: bool = False) -> None:

@@ -41,7 +41,7 @@ from repro.churn.sessions import (
 )
 from repro.churn.traces import InitialMember, trace_stats
 from repro.traces.reader import TraceBlockStream
-from repro.traces.source import PACKAGED_DATA_DIR, resolve_trace
+from repro.traces.source import resolve_trace
 from repro.scenarios.spec import (
     DiurnalCycle,
     FlashCrowd,
@@ -55,11 +55,6 @@ from repro.scenarios.spec import (
 )
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock
 from repro.sim.events import BadDepartureBatch, Event
-
-#: Packaged trace data (``TraceReplay`` relative paths resolve here);
-#: shared with the :mod:`repro.traces` registry.
-DATA_DIR = PACKAGED_DATA_DIR
-
 
 @dataclass
 class CompiledScenario:

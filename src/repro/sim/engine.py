@@ -452,8 +452,8 @@ class Simulation:
         fast_events = 0
         fast_joins = 0
         max_size = queue.max_size
-        # Snapshot thresholds: _INF when telemetry is off (or nobody is
-        # listening), so the disabled cost is two float compares per
+        # Snapshot threshold: _INF when telemetry is off (or nobody is
+        # listening), so the disabled cost is one float compare per
         # iteration.  Emission never cuts a batch -- due-checks run only
         # *after* a batch (or event) has been applied exactly as it
         # would have been without the policy, which is what keeps final
@@ -470,11 +470,9 @@ class Simulation:
                 # Wall clock feeds only the snapshot telemetry channel
                 # (events/sec); final metrics never read it.
                 self._snap_wall_start = time.perf_counter()  # lint: allow[R001] -- snapshot wall-clock telemetry, never in metrics
-            snap_next_time, snap_next_events = self._snap_thresholds(
-                self._snap_last_time, pops + fast_events
-            )
+            snap_next_time = self._snap_last_time + config.snapshots.sim_interval
         else:
-            snap_next_time = snap_next_events = _INF
+            snap_next_time = _INF
         # Same-instant tie tracking: when the frontier first reaches a
         # time t, one seq is burned as a watermark; heap entries pushed
         # during instant t carry seqs >= the watermark and therefore
@@ -649,15 +647,10 @@ class Simulation:
                         if last_t >= next_sample:
                             sample()
                             next_sample = last_t + sample_interval
-                        if (
-                            last_t >= snap_next_time
-                            or pops + fast_events >= snap_next_events
-                        ):
-                            snap_next_time, snap_next_events = (
-                                emit_snapshot(
-                                    last_t, pops + fast_events,
-                                    fast_events, len(heap),
-                                )
+                        if last_t >= snap_next_time:
+                            snap_next_time = emit_snapshot(
+                                last_t, pops + fast_events,
+                                fast_events, len(heap),
                             )
                         continue
             if not heap:
@@ -754,8 +747,8 @@ class Simulation:
             if now >= next_sample:
                 sample()
                 next_sample = now + sample_interval
-            if now >= snap_next_time or pops + fast_events >= snap_next_events:
-                snap_next_time, snap_next_events = emit_snapshot(
+            if now >= snap_next_time:
+                snap_next_time = emit_snapshot(
                     now, pops + fast_events, fast_events, len(heap)
                 )
         queue.pops += pops
@@ -878,22 +871,11 @@ class Simulation:
                 return handler
         raise TypeError(f"unhandled event type: {cls.__name__}")
 
-    def _snap_thresholds(self, now: float, events_done: int):
-        """Next (sim-time, event-count) marks that trigger a snapshot."""
-        policy = self.config.snapshots
-        next_time = (
-            now + policy.sim_interval if policy.sim_interval else _INF
-        )
-        next_events = (
-            events_done + policy.every_events if policy.every_events else _INF
-        )
-        return next_time, next_events
-
     def _emit_snapshot(self, now: float, events_local: int,
                        fast_local: int, heap_size: int,
                        last: bool = False):
         """Build and deliver one :class:`MetricsSnapshot`; returns the
-        next thresholds (in the run loop's local event basis).
+        sim time of the next one.
 
         Determinism contract: this reads existing state only --
         ``defense.system_size()`` / ``bad_fraction()`` and the spend
@@ -949,7 +931,7 @@ class Simulation:
                 good_spend_rate=snapshot.good_spend_rate,
                 adversary_spend_rate=snapshot.adversary_spend_rate,
             )
-        return self._snap_thresholds(now, events_local)
+        return now + self.config.snapshots.sim_interval
 
     def _sample_now(self) -> None:
         now = self.clock.now

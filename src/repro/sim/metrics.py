@@ -433,32 +433,21 @@ class SlidingWindowCounter:
 class SnapshotPolicy:
     """When the engine emits incremental :class:`MetricsSnapshot` rows.
 
-    Either knob (or both) may be set: ``sim_interval`` emits a snapshot
-    whenever the clock crosses the next interval mark, ``every_events``
-    whenever another N logical events have been processed.  Emission is
-    strictly *observational*: the engine samples existing counters and
-    spend totals at batch boundaries it would have taken anyway, draws
-    no RNG, and records nothing into the run's metrics -- so final
-    metrics are byte-identical with snapshots on or off.
+    The engine emits a snapshot whenever the clock crosses the next
+    ``sim_interval`` mark.  Emission is strictly *observational*: the
+    engine samples existing counters and spend totals at batch
+    boundaries it would have taken anyway, draws no RNG, and records
+    nothing into the run's metrics -- so final metrics are
+    byte-identical with snapshots on or off.
     """
 
     #: emit whenever simulated time advances past the next mark
-    sim_interval: Optional[float] = None
-    #: emit whenever another N logical events have been processed
-    every_events: Optional[int] = None
+    sim_interval: float
 
     def __post_init__(self) -> None:
-        if self.sim_interval is None and self.every_events is None:
-            raise ValueError(
-                "SnapshotPolicy needs sim_interval and/or every_events"
-            )
-        if self.sim_interval is not None and self.sim_interval <= 0:
+        if self.sim_interval <= 0:
             raise ValueError(
                 f"sim_interval must be positive seconds: {self.sim_interval}"
-            )
-        if self.every_events is not None and self.every_events < 1:
-            raise ValueError(
-                f"every_events must be >= 1: {self.every_events}"
             )
 
 

@@ -22,7 +22,7 @@ class NullDefense(Defense):
 
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
         unique = self.ids.issue(ident if ident is not None else "g")
-        self.population.good_join(unique, self.now)
+        self.population.good_join(unique)
         return unique
 
     def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
@@ -44,7 +44,7 @@ class NullDefense(Defense):
             uniques = [
                 issue(ident if ident is not None else "g") for ident in idents
             ]
-        self.population.good.add_batch(uniques, True, times)
+        self.population.good.add_batch(uniques)
         return uniques
 
     #: Departures are select + remove with no bookkeeping.

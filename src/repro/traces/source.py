@@ -40,7 +40,7 @@ from repro.resilience import BackoffPolicy, retry_call
 from repro.traces.io import CHUNK_BYTES, file_sha256
 from repro.traces.synthetic import SyntheticFlapSpec, write_flap_csv
 
-#: Packaged trace fixtures (shared with ``scenarios.compile.DATA_DIR``).
+#: Packaged trace fixtures (``TraceReplay`` relative paths resolve here).
 PACKAGED_DATA_DIR = Path(__file__).resolve().parents[1] / "scenarios" / "data"
 
 #: SHA-256 of the packaged Tor relay-flap fixture (verified on fetch).

@@ -22,9 +22,9 @@ walks churn through the first, and the trace reader and CSV writer
 tests compare against both.
 
 :class:`NaiveMembership` plays the same role for
-:class:`~repro.identity.membership.ArenaMembershipSet`: a dict, a
-swap-remove good list, and set snapshots for the symmetric difference
-(no serial watermarks).
+:class:`~repro.identity.membership.ArenaMembershipSet`: a swap-remove
+list and set snapshots for the symmetric difference (no positions map,
+no serial watermarks).
 """
 
 import csv
@@ -142,47 +142,37 @@ class ReferenceSimulation(Simulation):
 
 
 class NaiveMembership:
-    """Membership as a dict, a swap-remove good list and set snapshots."""
+    """Membership as a swap-remove list and set snapshots."""
 
     def __init__(self):
-        self.members = {}  # ident -> (is_good, joined_at, serial)
         self.good = []  # the order random_good indexes into
-        self.serial = 0
+        self.serial = 0  # joins so far
         self.snapshot = set()
 
-    def add(self, ident, is_good, now):
-        assert ident not in self.members
+    def add(self, ident):
+        assert ident not in self.good
         self.serial += 1
-        self.members[ident] = (is_good, now, self.serial)
-        if is_good:
-            self.good.append(ident)
+        self.good.append(ident)
 
     def remove(self, ident):
-        entry = self.members.pop(ident, None)
-        if entry is not None and entry[0]:
+        if ident in self.good:
             i = self.good.index(ident)
             self.good[i] = self.good[-1]
             self.good.pop()
 
     def reset(self):
-        self.snapshot = set(self.members)
+        self.snapshot = set(self.good)
 
-    def observe(self, rng):
+    def observe(self, rng, universe):
         """The projection ``test_membership_backends.observe`` takes."""
-        bad = sorted(i for i, entry in self.members.items() if not entry[0])
         return {
-            "size": len(self.members),
-            "good_count": len(self.good),
-            "bad_count": len(bad),
+            "size": len(self.good),
             "last_serial": self.serial,
             "good_ids": list(self.good),
-            "all_ids": list(self.members),
-            "bad_ids": bad,
-            "bad_fraction": len(bad) / len(self.members) if self.members else 0.0,
-            "sym_diff": len(self.snapshot ^ set(self.members)),
+            "present": [ident for ident in universe if ident in self.good],
+            "sym_diff": len(self.snapshot ^ set(self.good)),
             "draws": [
                 self.good[int(rng.integers(0, len(self.good)))] if self.good else None
                 for _ in range(5)
             ],
-            "members": sorted((i, *entry) for i, entry in self.members.items()),
         }

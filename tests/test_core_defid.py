@@ -9,7 +9,7 @@ from repro.core.population import SystemPopulation
 def make_population(good: int, bad: int) -> SystemPopulation:
     population = SystemPopulation()
     for i in range(good):
-        population.good_join(f"g{i}", now=0.0)
+        population.good_join(f"g{i}")
     population.bad_join(bad, now=0.0)
     return population
 

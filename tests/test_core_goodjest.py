@@ -9,7 +9,7 @@ from repro.core.population import SystemPopulation
 def make_population(n0=24):
     population = SystemPopulation()
     for i in range(n0):
-        population.good_join(f"init{i}", now=0.0)
+        population.good_join(f"init{i}")
     return population
 
 
@@ -44,7 +44,7 @@ def test_no_update_below_threshold():
     estimator.initialize(now=0.0)
     # 9 joins on 24+9=33: sym diff 9 < (5/12)*33 = 13.75.
     for i in range(9):
-        population.good_join(f"new{i}", now=1.0 + i)
+        population.good_join(f"new{i}")
         assert estimator.on_event(1.0 + i) is False
     assert estimator.intervals == []
 
@@ -56,7 +56,7 @@ def test_update_fires_at_threshold():
     updated_at = None
     for i in range(40):
         now = 1.0 + i
-        population.good_join(f"new{i}", now=now)
+        population.good_join(f"new{i}")
         if estimator.on_event(now):
             updated_at = now
             break
@@ -75,7 +75,7 @@ def test_interval_records_accumulate():
     counter = 0
     for i in range(200):
         now = 1.0 + i
-        population.good_join(f"n{counter}", now=now)
+        population.good_join(f"n{counter}")
         counter += 1
         estimator.on_event(now)
     assert len(estimator.intervals) >= 2
@@ -166,9 +166,9 @@ class TestTripDistances:
         k = estimator.joins_until_update()
         # The k-th join trips; the (k-1)-th must not.
         for i in range(k - 1):
-            population.good_join(f"j{i}", now=1.0)
+            population.good_join(f"j{i}")
             assert estimator.on_event(1.0) is False
-        population.good_join(f"j{k}", now=1.0)
+        population.good_join(f"j{k}")
         assert estimator.on_event(1.0) is True
 
     def test_joins_until_update_recomputes_after_trip(self):
@@ -178,9 +178,9 @@ class TestTripDistances:
         for round_no in range(3):
             k = estimator.joins_until_update()
             for i in range(k - 1):
-                population.good_join(f"r{round_no}-{i}", now=float(round_no + 1))
+                population.good_join(f"r{round_no}-{i}")
                 assert not estimator.on_event(float(round_no + 1))
-            population.good_join(f"r{round_no}-last", now=float(round_no + 1))
+            population.good_join(f"r{round_no}-last")
             assert estimator.on_event(float(round_no + 1))
 
     def test_pending_update_means_no_trip(self):

@@ -166,7 +166,7 @@ class RecordingDefense(Defense):
 
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
         unique = self.ids.issue(ident or "g")
-        self.population.good_join(unique, self.now)
+        self.population.good_join(unique)
         self.log.append(("join", self.now, ident))
         return unique
 

@@ -356,6 +356,61 @@ print("COMPLETED", flush=True)
         assert ckpt.exists()  # the flushed journal carries row 0
 
 
+def _run_python(source: str):
+    """Run ``source`` in a fresh interpreter with ``src`` importable."""
+    import subprocess
+    import sys as _sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [_sys.executable, "-c", source], capture_output=True, text=True,
+        env=env, cwd=repo, timeout=120,
+    )
+
+
+class TestWorkerSigterm:
+    """Pool workers must die quietly and at once when the pool is torn
+    down, whatever SIGTERM handler the coordinator has installed."""
+
+    def test_pooled_sweep_leaves_no_worker_traceback(self):
+        done = _run_python(
+            "from repro.experiments.runtime import run_tasks\n"
+            "print(run_tasks(abs, [-1, -2, -3, -4], jobs=2).rows)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[1, 2, 3, 4]"
+        assert "Traceback" not in done.stderr, done.stderr
+
+    def test_hung_worker_dies_on_sigterm_under_a_non_exiting_handler(self):
+        # The service's stop handler only sets a flag, and the service
+        # runs sweeps off the main thread, so the pool's workers inherit
+        # that handler.  A hung worker must still die on the first
+        # SIGTERM rather than wait out the SIGKILL escalation.
+        done = _run_python(
+            "import signal, threading, time\n"
+            "from repro.experiments.runtime import ExecutionPolicy, run_tasks\n"
+            "signal.signal(signal.SIGTERM, lambda signum, frame: None)\n"
+            "out = {}\n"
+            "def sweep():\n"
+            "    out['rows'] = run_tasks(abs, [-1, -2, -3, -4], jobs=2,\n"
+            "        policy=ExecutionPolicy(point_timeout=0.5,\n"
+            "                               fault_spec='hang@1:30')).rows\n"
+            "started = time.monotonic()\n"
+            "worker = threading.Thread(target=sweep)\n"
+            "worker.start()\n"
+            "worker.join()\n"
+            "print(out['rows'], time.monotonic() - started)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        rows, elapsed = done.stdout.rsplit(" ", 1)
+        assert rows == "[1, 2, 3, 4]"
+        assert float(elapsed) < 5.0, done.stdout
+
+
 class TestParallel:
     def test_worker_crash_rebuilds_pool_and_recovers(self):
         report = run_tasks(

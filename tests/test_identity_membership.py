@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.identity.membership import MembershipSet, SymmetricDifferenceTracker
+from repro.identity.membership import ArenaMembershipSet, SymmetricDifferenceTracker
 
 
-def make_set(*idents, good=True):
-    membership = MembershipSet()
-    for i, ident in enumerate(idents):
-        membership.add(ident, is_good=good, now=float(i))
+def make_set(*idents):
+    membership = ArenaMembershipSet()
+    for ident in idents:
+        membership.add(ident)
     return membership
 
 
@@ -25,50 +25,27 @@ class TestMembershipBasics:
     def test_duplicate_add_rejected(self):
         membership = make_set("a")
         with pytest.raises(ValueError, match="duplicate"):
-            membership.add("a", is_good=True, now=1.0)
+            membership.add("a")
 
-    def test_remove_returns_member(self):
+    def test_remove_returns_true(self):
         membership = make_set("a")
-        member = membership.remove("a")
-        assert member.ident == "a"
+        assert membership.remove("a") is True
         assert membership.size == 0
 
-    def test_remove_missing_returns_none(self):
-        assert make_set().remove("ghost") is None
-
-    def test_good_bad_counts(self):
-        membership = MembershipSet()
-        membership.add("g1", is_good=True, now=0.0)
-        membership.add("b1", is_good=False, now=0.0)
-        membership.add("b2", is_good=False, now=0.0)
-        assert membership.good_count == 1
-        assert membership.bad_count == 2
-        assert membership.bad_fraction() == pytest.approx(2 / 3)
-
-    def test_bad_fraction_empty_is_zero(self):
-        assert MembershipSet().bad_fraction() == 0.0
+    def test_remove_missing_returns_false(self):
+        assert make_set().remove("ghost") is False
 
     def test_id_lists(self):
-        membership = MembershipSet()
-        membership.add("g1", is_good=True, now=0.0)
-        membership.add("b1", is_good=False, now=0.0)
-        assert membership.good_ids() == ["g1"]
-        assert membership.bad_ids() == ["b1"]
-        assert sorted(membership.all_ids()) == ["b1", "g1"]
+        membership = make_set("a", "b", "c")
+        assert membership.good_ids() == ["a", "b", "c"]
+        membership.remove("a")  # swap-remove: the last ID fills the hole
+        assert membership.good_ids() == ["c", "b"]
 
 
 class TestRandomGood:
     def test_empty_returns_none(self):
         rng = np.random.default_rng(0)
-        assert MembershipSet().random_good(rng) is None
-
-    def test_returns_only_good(self):
-        rng = np.random.default_rng(0)
-        membership = MembershipSet()
-        membership.add("g1", is_good=True, now=0.0)
-        membership.add("b1", is_good=False, now=0.0)
-        picks = {membership.random_good(rng) for _ in range(50)}
-        assert picks == {"g1"}
+        assert ArenaMembershipSet().random_good(rng) is None
 
     def test_selection_is_roughly_uniform(self):
         rng = np.random.default_rng(0)
@@ -92,7 +69,7 @@ class TestSymmetricDifferenceTracker:
         """The Section 8.1 subtlety: quick join+depart moves nothing."""
         membership = make_set("old1", "old2")
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("new", is_good=True, now=1.0)
+        membership.add("new")
         assert membership.sym_diff("t") == 1
         membership.remove("new")
         assert membership.sym_diff("t") == 0
@@ -106,14 +83,14 @@ class TestSymmetricDifferenceTracker:
     def test_replacement_counts_twice(self):
         membership = make_set("old1", "old2")
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("new", is_good=True, now=1.0)
+        membership.add("new")
         membership.remove("old1")
         assert membership.sym_diff("t") == 2
 
     def test_reset_zeroes_the_difference(self):
         membership = make_set("a", "b")
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("c", is_good=True, now=1.0)
+        membership.add("c")
         membership.remove("a")
         membership.reset_tracker("t")
         assert membership.sym_diff("t") == 0
@@ -123,9 +100,9 @@ class TestSymmetricDifferenceTracker:
     def test_multiple_trackers_are_independent(self):
         membership = make_set("a")
         membership.attach_tracker("t1", SymmetricDifferenceTracker())
-        membership.add("b", is_good=True, now=1.0)
+        membership.add("b")
         membership.attach_tracker("t2", SymmetricDifferenceTracker())
-        membership.add("c", is_good=True, now=2.0)
+        membership.add("c")
         assert membership.sym_diff("t1") == 2
         assert membership.sym_diff("t2") == 1
 
@@ -137,18 +114,16 @@ class TestSymmetricDifferenceTracker:
         op 0 = join a fresh ID; op 1 = remove the oldest present ID;
         op 2 = remove the newest present ID.
         """
-        membership = MembershipSet()
-        for i in range(5):
-            membership.add(f"init{i}", is_good=True, now=0.0)
+        membership = make_set(*[f"init{i}" for i in range(5)])
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        snapshot = set(membership.all_ids())
-        present = list(membership.all_ids())
+        snapshot = set(membership.good_ids())
+        present = list(membership.good_ids())
         counter = 0
         for op in ops:
             if op == 0:
                 counter += 1
                 ident = f"x{counter}"
-                membership.add(ident, is_good=True, now=float(counter))
+                membership.add(ident)
                 present.append(ident)
             elif present:
                 ident = present.pop(0) if op == 1 else present.pop()

@@ -1,11 +1,11 @@
-"""The membership arena against a naive reference set.
+"""The membership table against a naive reference set.
 
-The arena only counts if it is *invisible*: per-row and batched
-mutations must leave exactly the state a plain dict-and-list set would
-hold, including the swap-remove order of the good list that seeded
-``random_good`` draws index into, and the symmetric difference its
-serial-watermark trackers report.  Randomized op scripts check this
-against :class:`tests.reference_sim.NaiveMembership`; the simulations
+The table only counts if it is *invisible*: per-row and batched
+mutations must leave exactly the state a plain swap-remove list would
+hold, including the order that seeded ``random_good`` draws index into,
+and the symmetric difference its serial-watermark trackers report.
+Randomized and fixed op scripts check this against
+:class:`tests.reference_sim.NaiveMembership`; the simulations
 built on top are checked against the per-event reference engine in
 ``test_engine_fastpath.py``.
 """
@@ -20,45 +20,34 @@ from repro.identity.membership import (
 from tests.reference_sim import NaiveMembership
 
 
-def observe(m, rng):
+def observe(m, rng, universe):
     """The full observable projection of a membership set."""
     return {
-        "size": m.size,
-        "good_count": m.good_count,
-        "bad_count": m.bad_count,
+        "size": len(m),
         "last_serial": m.last_serial,
         "good_ids": m.good_ids(),
-        "all_ids": m.all_ids(),
-        "bad_ids": sorted(m.bad_ids()),
-        "bad_fraction": m.bad_fraction(),
+        "present": [ident for ident in universe if ident in m],
         "sym_diff": m.sym_diff("t"),
         "draws": [m.random_good(rng) for _ in range(5)],
-        "members": sorted(
-            (mm.ident, mm.is_good, mm.joined_at, mm.serial)
-            for mm in m.members()
-        ),
     }
 
 
+def added(script):
+    """Every ident the script adds, in order."""
+    return [ident for op, payload in script if op == "add" for ident in payload]
+
+
 def apply_script(script, batched: bool):
-    """Run an op script against a fresh arena; return observables."""
+    """Run an op script against a fresh table; return observables."""
     m = ArenaMembershipSet()
     m.attach_tracker("t", SymmetricDifferenceTracker())
     for op, payload in script:
         if op == "add":
-            idents, times = payload
             if batched:
-                m.add_batch(idents, True, times)
+                m.add_batch(payload)
             else:
-                for ident, t in zip(idents, times):
-                    m.add(ident, True, t)
-        elif op == "add_bad":
-            idents, times = payload
-            if batched:
-                m.add_batch(idents, False, times)
-            else:
-                for ident, t in zip(idents, times):
-                    m.add(ident, False, t)
+                for ident in payload:
+                    m.add(ident)
         elif op == "remove":
             if batched:
                 m.remove_batch(payload)
@@ -67,23 +56,22 @@ def apply_script(script, batched: bool):
                     m.remove(ident)
         elif op == "reset":
             m.reset_tracker("t")
-    rng = np.random.default_rng(42)
-    return observe(m, rng)
+    return observe(m, np.random.default_rng(42), added(script))
 
 
 def apply_naive(script):
     """The same op script against the naive reference set."""
     m = NaiveMembership()
     for op, payload in script:
-        if op in ("add", "add_bad"):
-            for ident, t in zip(*payload):
-                m.add(ident, op == "add", t)
+        if op == "add":
+            for ident in payload:
+                m.add(ident)
         elif op == "remove":
             for ident in payload:
                 m.remove(ident)
         elif op == "reset":
             m.reset()
-    return m.observe(np.random.default_rng(42))
+    return m.observe(np.random.default_rng(42), added(script))
 
 
 def random_script(seed: int):
@@ -92,17 +80,13 @@ def random_script(seed: int):
     script = []
     alive = []
     counter = 0
-    t = 0.0
     for _ in range(int(r.integers(3, 12))):
         op = int(r.integers(0, 4))
         if op in (0, 1) or not alive:
             k = int(r.integers(1, 9))
             idents = [f"x{counter + i}" for i in range(k)]
             counter += k
-            times = [t + 0.1 * i for i in range(k)]
-            t += 0.1 * k
-            kind = "add" if op == 0 or not alive else "add_bad"
-            script.append((kind, (idents, times)))
+            script.append(("add", idents))
             alive.extend(idents)
         elif op == 2:
             k = min(int(r.integers(1, 7)), len(alive))
@@ -117,29 +101,67 @@ def random_script(seed: int):
     return script
 
 
+#: Swap-remove edges a random script may miss.
+FIXED_SCRIPTS = {
+    "remove-last-position": [
+        ("add", ["a", "b", "c"]),
+        ("remove", ["c"]),
+        ("add", ["d", "e"]),
+        ("reset", None),
+        ("remove", ["e", "a"]),
+    ],
+    "empty-then-refill": [
+        ("add", ["a", "b", "c"]),
+        ("reset", None),
+        ("remove", ["b", "a", "c"]),
+        ("add", ["d", "e", "f"]),
+        ("remove", ["e"]),
+    ],
+    # Removing "a" moves "e" into position 0; the batch then removes it
+    # from there, which moves "d" in.  The reset puts "a" before the
+    # watermark and "e" after it, so the tracker sees which one left.
+    "remove-member-swapped-into-hole": [
+        ("add", ["a", "b", "c", "d"]),
+        ("reset", None),
+        ("add", ["e"]),
+        ("remove", ["a", "e", "b"]),
+        ("add", ["f", "g"]),
+        ("remove", ["c", "g"]),
+    ],
+    "same-ident-twice-in-batch": [
+        ("add", ["a", "b", "c"]),
+        ("reset", None),
+        ("remove", ["b", "b", "a"]),
+        ("add", ["d"]),
+    ],
+}
+
+SCRIPTS = [pytest.param(random_script(seed), id=str(seed)) for seed in range(20)]
+SCRIPTS += [pytest.param(script, id=name) for name, script in FIXED_SCRIPTS.items()]
+
+
 class TestScriptEquivalence:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_backends_and_batching_agree(self, seed):
-        script = random_script(seed)
+    @pytest.mark.parametrize("script", SCRIPTS)
+    def test_backends_and_batching_agree(self, script):
         reference = apply_naive(script)
         assert apply_script(script, batched=False) == reference
         assert apply_script(script, batched=True) == reference
 
     def test_arena_recycles_slots(self):
         m = ArenaMembershipSet()
-        m.add_batch([f"a{i}" for i in range(10)], True, [0.0] * 10)
+        m.add_batch([f"a{i}" for i in range(10)])
         m.remove_batch([f"a{i}" for i in range(10)])
-        m.add_batch([f"b{i}" for i in range(10)], True, [1.0] * 10)
-        # Recycled slots: the backing arrays did not grow past 10.
+        m.add_batch([f"b{i}" for i in range(10)])
+        # Freed positions are reused: the table did not grow past 10.
         assert len(m._idents) == 10
         assert m.size == 10
         assert m.good_ids() == [f"b{i}" for i in range(10)]
 
     def test_add_batch_rejects_duplicates(self):
         m = ArenaMembershipSet()
-        m.add("dup", True, 0.0)
+        m.add("dup")
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_batch(["fresh", "dup"], True, [1.0, 1.0])
+            m.add_batch(["fresh", "dup"])
 
     @pytest.mark.parametrize(
         "batch",
@@ -148,7 +170,7 @@ class TestScriptEquivalence:
     )
     def test_rejected_add_batch_changes_nothing(self, batch):
         m = ArenaMembershipSet()
-        m.add_batch(["w", "x"], True, [0.0, 0.5])
+        m.add_batch(["w", "x"])
         m.attach_tracker("t", SymmetricDifferenceTracker())
         m.remove("w")
 
@@ -156,7 +178,7 @@ class TestScriptEquivalence:
             tr = m.tracker("t")
             return (
                 len(m),
-                m.all_ids(),
+                m.good_ids(),
                 m.last_serial,
                 tr.symmetric_difference,
                 tr.joined_since_snapshot,
@@ -165,21 +187,22 @@ class TestScriptEquivalence:
 
         before = state()
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_batch(batch, True, [1.0] * len(batch))
+            m.add_batch(batch)
         assert state() == before
         # The set is still usable: the rejected idents were not reserved.
-        m.add_batch(["a", "b"], True, [2.0, 2.0])
-        assert m.all_ids() == ["x", "a", "b"]
+        m.add_batch(["a", "b"])
+        assert m.good_ids() == ["x", "a", "b"]
 
     def test_remove_batch_returns_removed_count(self):
         m = ArenaMembershipSet()
-        m.add_batch(["a", "b", "c"], True, [0.0, 0.0, 0.0])
+        m.add_batch(["a", "b", "c"])
         assert m.remove_batch(["a", "ghost", "c"]) == 2
         assert m.good_ids() == ["b"]
 
     def test_discard_matches_remove(self):
         m = ArenaMembershipSet()
-        m.add("a", True, 0.0)
+        m.add("a")
         assert m.discard("a") is True
         assert m.discard("a") is False
+        assert m.remove("a") is False
         assert "a" not in m

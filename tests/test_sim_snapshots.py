@@ -55,24 +55,13 @@ def run_with_snapshots(defense="Null", policy=None):
 
 class TestSnapshotPolicy:
     def test_needs_at_least_one_knob(self):
-        with pytest.raises(ValueError, match="sim_interval and/or every_events"):
+        with pytest.raises(TypeError, match="sim_interval"):
             SnapshotPolicy()
 
     @pytest.mark.parametrize("interval", [0.0, -1.0])
     def test_sim_interval_must_be_positive(self, interval):
         with pytest.raises(ValueError, match="sim_interval"):
             SnapshotPolicy(sim_interval=interval)
-
-    @pytest.mark.parametrize("every", [0, -5])
-    def test_every_events_must_be_at_least_one(self, every):
-        with pytest.raises(ValueError, match="every_events"):
-            SnapshotPolicy(every_events=every)
-
-    def test_either_or_both_knobs_accepted(self):
-        assert SnapshotPolicy(sim_interval=1.0).every_events is None
-        assert SnapshotPolicy(every_events=100).sim_interval is None
-        both = SnapshotPolicy(sim_interval=1.0, every_events=100)
-        assert (both.sim_interval, both.every_events) == (1.0, 100)
 
 
 class TestEmissionInvariants:
@@ -96,17 +85,6 @@ class TestEmissionInvariants:
         assert terminal.good_spend == row["good_spend"]
         assert terminal.adversary_spend == row["adversary_spend"]
         assert terminal.system_size == row["final_size"]
-
-    def test_every_events_policy_spaces_by_event_count(self):
-        row, snaps = run_with_snapshots(
-            policy=SnapshotPolicy(every_events=100)
-        )
-        assert len(snaps) >= 3
-        # Every non-terminal gap covers at least the configured stride
-        # (emission happens after the batch that crosses the mark, so
-        # gaps may exceed it; the forced terminal snapshot may not).
-        gaps = [b.events - a.events for a, b in zip(snaps, snaps[1:])]
-        assert all(gap >= 100 for gap in gaps[:-1])
 
     def test_as_dict_round_trips_every_field(self):
         _, snaps = run_with_snapshots()
@@ -139,7 +117,7 @@ class TestByteIdentityMatrix:
         live = run_spec_point(
             spec,
             point,
-            snapshot_policy=SnapshotPolicy(sim_interval=5.0, every_events=5_000),
+            snapshot_policy=SnapshotPolicy(sim_interval=0.5),
             on_snapshot=snaps.append,
         )
         assert json.dumps(live, sort_keys=True) == json.dumps(
