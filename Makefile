@@ -38,12 +38,23 @@ scenarios:
 # exception (retry), a hang that outlives the per-point timeout (pool
 # teardown + retry) and a slowed point.  Must exit 0: every point
 # recovers within its retry budget and no completed row is lost.  The
-# crash, raise and hang are injected in workers, so their tracebacks
-# would only show up as stray worker output; none may reach stderr.
+# crash can break the pool while point 3's first attempt is in flight,
+# which charges that attempt, so the hang fires on attempts 1-2: at
+# least one attempt of point 3 hangs and only the 10 s timeout's
+# teardown (a second pool rebuild) frees it.  The check after the run
+# fails unless results/scenarios.json records >= 2 pool rebuilds and
+# no failures.
+# The crash, raise and hang are injected in workers, so their
+# tracebacks would only show up as stray worker output; none may reach
+# stderr.
 chaos:
 	$(call no-traceback,$(PYTHON) -m repro scenarios run flash-crowd --quick --jobs 4 \
-		--max-retries 3 --point-timeout 30 \
-		--fault-spec "crash@0;raise@2;hang@3:300;slow@4:0.2")
+		--max-retries 3 --point-timeout 10 \
+		--fault-spec "crash@0;raise@2;hang@3:300x2;slow@4:0.2")
+	$(PYTHON) -c 'import json, sys; r = json.load(open("results/scenarios.json")); \
+		print("pool_rebuilds:", r["pool_rebuilds"], "retries:", r["retries"], \
+		"failures:", len(r["failures"])); \
+		sys.exit(r["pool_rebuilds"] < 2 or len(r["failures"]) > 0)'
 
 # Service smoke: boot `repro serve` on an ephemeral port, submit a
 # catalog job with an injected worker crash (crash@0), poll it to

@@ -36,7 +36,11 @@ def main() -> None:
           f"(fraction {defense.bad_fraction():.3f} < 1/6)")
 
     dht = SybilResistantDHT(redundancy=3, swarm_size=15)
-    dht.sync_membership(good_ids, [f"sybil{i}" for i in range(bad_count)])
+    # Ring positions hash node names, so name each integer ident.
+    dht.sync_membership(
+        [f"g#{ident}" for ident in good_ids],
+        [f"sybil{i}" for i in range(bad_count)],
+    )
     stats = dht.swarm_stats()
     print(f"\n=== Chord ring with swarm-vouched routing ===")
     print(f"swarms: {stats['swarms']} (size {dht.swarm_size}), "

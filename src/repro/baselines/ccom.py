@@ -35,8 +35,8 @@ class CCom(Ergo):
         """Flat 1-hard joins: the vectorized batch skips window quotes."""
         return 1.0
 
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident if ident is not None else "g")
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
+        unique = self.ids.issue()
         self.accountant.charge_good(1.0, category="entrance")
         self.population.good_join(unique)
         self._note_events(joins=1)

@@ -60,23 +60,23 @@ class Remp(Defense):
     def quote_entrance_cost(self) -> float:
         return 1.0
 
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident if ident is not None else "g")
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
+        unique = self.ids.issue()
         self.accountant.charge_good(1.0, category="entrance")
         self.population.good_join(unique)
         return unique
 
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         victim = self._select_departing_good(ident)
         if victim is None:
             return None
         self.population.good_depart(victim)
         return victim
 
-    def process_good_join_batch(self, times, idents=None) -> list:
+    def process_good_join_batch(self, times, idents=None) -> range:
         """Batched joins: flat 1-hard charge (recurring costs are a
         scheduled callback, so join runs have no other bookkeeping)."""
-        return self._flat_cost_join_batch(times, idents, 1.0)
+        return self._flat_cost_join_batch(times, 1.0)
 
     #: Departures are select + remove with no bookkeeping.
     process_good_departure_batch = Defense._removal_departure_batch

@@ -170,12 +170,11 @@ class Ergo(Defense):
     # ------------------------------------------------------------------
     # good events
     # ------------------------------------------------------------------
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
         classifier = self.config.classifier
-        proposed = ident if ident is not None else "g"
         for _attempt in range(self.config.max_good_retries):
             cost = self.quote_entrance_cost()
-            unique = self.ids.issue(proposed)
+            unique = self.ids.issue()
             self.accountant.charge_good(cost, category="entrance")
             if classifier is not None and not classifier.classify_good(self._rng):
                 # Misclassified: refused entry despite paying; retry as a
@@ -203,7 +202,7 @@ class Ergo(Defense):
             return "window"
         return None
 
-    def process_good_join_batch(self, times, idents=None) -> list:
+    def process_good_join_batch(self, times, idents=None):
         """Batched good joins: whole-run pricing between protocol trips.
 
         Equivalent to looping :meth:`process_good_join` row by row --
@@ -212,16 +211,18 @@ class Ergo(Defense):
         never extends past the row where the purge rule or GoodJEst's
         interval rule can trip (both advance by exactly one per join, so
         the trip row is computed in closed form), and inside a chunk the
-        entire run is priced in one ``quote_record_run`` pass, named in
-        one ``issue_batch``, charged in one float-exact ``charge_seq``,
-        and admitted in one arena ``add_batch``.  The per-row checks
-        being skipped are provably no-ops: ``on_event`` /
-        ``_maybe_purge`` are pure reads until their trip row, and the
-        per-row ``_observe_fraction`` is dropped because across a pure
-        join run the bad fraction is non-increasing, so the pre-batch
-        peak dominates every intermediate value.  Classifier runs
-        (ERGO-SF) fall back to the generic loop, which handles retries;
-        subclasses with custom quotes fall back to the per-row loop.
+        entire run is priced in one ``quote_record_run`` pass, charged in
+        one float-exact ``charge_seq``, and admitted in one arena
+        ``add_batch``.  Purges and GoodJEst issue no idents, so the whole
+        run's idents are issued up front as one ``range`` and each chunk
+        admits its slice of it.  The per-row checks being skipped are
+        provably no-ops: ``on_event`` / ``_maybe_purge`` are pure reads
+        until their trip row, and the per-row ``_observe_fraction`` is
+        dropped because across a pure join run the bad fraction is
+        non-increasing, so the pre-batch peak dominates every
+        intermediate value.  Classifier runs (ERGO-SF) fall back to the
+        generic loop, which handles retries; subclasses with custom
+        quotes fall back to the per-row loop.
         """
         if self.config.classifier is not None:
             return super().process_good_join_batch(times, idents)
@@ -231,14 +232,13 @@ class Ergo(Defense):
             # Tiny runs (steady-state interleave cuts batches to a row
             # or two): the closed-form trip bounds cost more than the
             # per-row checks they elide.
-            return self._join_batch_per_row(times, idents)
+            return self._join_batch_per_row(times)
         clock = self.sim.clock
         window = self._window
         goodjest = self.goodjest
         accountant = self.accountant
         add_batch = self.population.good.add_batch
-        issue = self.ids.issue
-        admitted: list = []
+        issued = self.ids.issue_batch(n)
         i = 0
         # Rows-to-trip distances survive across chunks (each join consumes
         # exactly one from each), so the closed-form bounds are computed
@@ -260,16 +260,8 @@ class Ergo(Defense):
             else:
                 window.record_run(chunk)
                 costs = [pricing] * k
-            if idents is None:
-                uniques = self.ids.issue_batch("g", k)
-            else:
-                uniques = [
-                    issue(p if p is not None else "g")
-                    for p in idents[i : i + k]
-                ]
             accountant.charge_good_batch(costs, "entrance")
-            add_batch(uniques)
-            admitted += uniques
+            add_batch(issued[i : i + k])
             self._joins_in_iter += k
             self._event_counter += k
             i += k
@@ -295,24 +287,20 @@ class Ergo(Defense):
                     until_purge = self._events_until_purge()
                     until_jest = goodjest.joins_until_update()
         clock._now = times[n - 1]
-        return admitted
+        return issued
 
-    def _join_batch_per_row(self, times, idents=None) -> list:
+    def _join_batch_per_row(self, times) -> range:
         """The row-by-row batch body (virtual-quote subclasses)."""
         clock = self.sim.clock
         window = self._window
-        issue = self.ids.issue
         charge = self.accountant.charge_good
         good_join = self.population.good_join
         goodjest = self.goodjest
         quote = self.quote_entrance_cost
-        admitted = []
-        append = admitted.append
-        for i, t in enumerate(times):
+        admitted = self.ids.issue_batch(len(times))
+        for t, unique in zip(times, admitted):
             clock._now = t
             cost = quote()
-            proposed = idents[i] if idents is not None else None
-            unique = issue(proposed if proposed is not None else "g")
             charge(cost, "entrance")
             good_join(unique)
             window.record(t, 1)
@@ -325,7 +313,6 @@ class Ergo(Defense):
                         t, "estimate_update", estimate=goodjest.estimate
                     )
             self._maybe_purge(t)
-            append(unique)
         return admitted
 
     def process_good_departure_batch(self, times, idents=None) -> None:
@@ -387,7 +374,7 @@ class Ergo(Defense):
                         until_jest = goodjest.departures_until_update_bound()
         clock._now = times[n - 1]
 
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         victim = self._select_departing_good(ident)
         if victim is None:
             return None

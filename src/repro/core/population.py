@@ -170,13 +170,13 @@ class SystemPopulation:
         return good_diff + self.bad.sym_diff(name)
 
     # -- mutation ------------------------------------------------------------
-    def good_join(self, ident: str) -> None:
+    def good_join(self, ident: int) -> None:
         self.good.add(ident)
 
-    def good_depart(self, ident: str) -> bool:
+    def good_depart(self, ident: int) -> bool:
         return self.good.discard(ident)
 
-    def random_good(self, rng: np.random.Generator) -> Optional[str]:
+    def random_good(self, rng: np.random.Generator) -> Optional[int]:
         return self.good.random_good(rng)
 
     def bad_join(self, count: int, now: float) -> None:

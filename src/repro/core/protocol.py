@@ -17,7 +17,7 @@ variants), :class:`repro.baselines.ccom.CCom`,
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.population import SystemPopulation
 from repro.identity.ids import IdentityFactory
@@ -69,19 +69,20 @@ class Defense(abc.ABC):
     def now(self) -> float:
         return self.sim.clock.now
 
-    def bootstrap(self, idents: Iterable[str]) -> None:
+    def bootstrap(self, idents: Sequence[str]) -> range:
         """Initialize membership with IDs that solved a 1-hard challenge.
 
         "The server initializes system membership with all IDs that
         solve a 1-hard RB challenge." (Section 7.)  Each initial good ID
-        is charged 1.
+        named in ``idents`` is issued an ident and charged 1; returns
+        the issued idents, in ``idents`` order.
         """
-        count = 0
-        for ident in idents:
+        issued = self.ids.issue_batch(len(idents))
+        for ident in issued:
             self.population.good_join(ident)
             self.accountant.charge_good(1.0, category="init")
-            count += 1
-        self.after_bootstrap(count)
+        self.after_bootstrap(len(issued))
+        return issued
 
     def after_bootstrap(self, count: int) -> None:
         """Subclass hook run after initial membership is in place."""
@@ -90,20 +91,23 @@ class Defense(abc.ABC):
     # engine-facing event processing
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
         """Handle a good ID's join attempt.
 
-        Returns the admitted (unique) identifier, or ``None`` if the
-        joiner was not admitted.
+        ``ident`` is the name the joiner proposed (``None`` if it chose
+        none); it is a label only.  Returns the admitted ID's unique
+        ``int`` ident from :attr:`ids`, or ``None`` if the joiner was not
+        admitted.
         """
 
     @abc.abstractmethod
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         """Handle a good departure.
 
-        ``ident=None`` means the victim is selected uniformly at random
-        from the good IDs (the ABC model's rule).  Returns the ID that
-        actually departed, or ``None`` if no such ID was present.
+        ``ident`` is an issued ``int`` ident (0, never issued, names no
+        member); ``ident=None`` means the victim is selected uniformly at
+        random from the good IDs (the ABC model's rule).  Returns the ID
+        that actually departed, or ``None`` if no such ID was present.
         """
 
     def process_bad_departure(self, ident: str) -> None:
@@ -167,9 +171,11 @@ class Defense(abc.ABC):
 
         ``idents`` is a parallel sequence of proposed names (``None``
         entries -- or ``idents=None`` for the whole run -- mean the
-        defense picks the name).  Returns one admitted unique ident (or
-        ``None`` if refused) per row; the engine schedules session
-        departures for the admitted ones.
+        joiner proposed none); names are labels the hooks may log but
+        never store.  Returns one admitted ``int`` ident (or ``None`` if
+        refused) per row; the engine schedules session departures for
+        the admitted ones.  An override that admits every row may return
+        the ``range`` it issued.
         """
         clock = self.sim.clock
         join = self.process_good_join
@@ -188,8 +194,9 @@ class Defense(abc.ABC):
     def process_good_departure_batch(self, times, idents=None) -> None:
         """Handle a time-sorted run of good departures.
 
-        ``idents`` entries of ``None`` (or ``idents=None``) select the
-        victim uniformly at random, as in the per-ID hook.
+        ``idents`` holds issued ``int`` idents; entries of ``None`` (or
+        ``idents=None``) select the victim uniformly at random, as in the
+        per-ID hook.
         """
         clock = self.sim.clock
         depart = self.process_good_departure
@@ -203,25 +210,19 @@ class Defense(abc.ABC):
                 depart(ident)
 
     # -- shared override bodies for flat-cost defenses ------------------
-    def _flat_cost_join_batch(self, times, idents, cost: float) -> list:
+    def _flat_cost_join_batch(self, times, cost: float) -> range:
         """Batched joins for defenses whose join is issue/charge/admit.
 
         Observably equivalent to the default loop for any defense whose
         ``process_good_join`` charges a flat ``cost`` and does no other
         bookkeeping (SybilControl, REMP): each row keeps its own
-        timestamp and charge, but names, charges, and membership go
+        timestamp and charge, but idents, charges, and membership go
         through the whole-run batch APIs (``IdentityFactory.issue_batch``,
         ``charge_good_batch``, ``ArenaMembershipSet.add_batch``) instead of
         per-row calls.
         """
         k = len(times)
-        if idents is None:
-            uniques = self.ids.issue_batch("g", k)
-        else:
-            issue = self.ids.issue
-            uniques = [
-                issue(ident if ident is not None else "g") for ident in idents
-            ]
+        uniques = self.ids.issue_batch(k)
         self.accountant.charge_good_batch([cost] * k, "entrance")
         self.population.good.add_batch(uniques)
         return uniques
@@ -305,7 +306,7 @@ class Defense(abc.ABC):
         if fraction > self.peak_bad_fraction:
             self.peak_bad_fraction = fraction
 
-    def _select_departing_good(self, ident: Optional[str]) -> Optional[str]:
+    def _select_departing_good(self, ident: Optional[int]) -> Optional[int]:
         """Resolve which good ID departs (u.a.r. when unspecified)."""
         if ident is None:
             return self.population.random_good(self._rng)

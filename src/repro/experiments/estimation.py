@@ -85,14 +85,14 @@ class EstimationHarness(Defense):
     def quote_entrance_cost(self) -> float:
         return 1.0 + self._window.count(self.now)
 
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident if ident is not None else "g")
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
+        unique = self.ids.issue()
         self.population.good_join(unique)
         self._good_joins_in_interval += 1
         self._after_event(joins=1)
         return unique
 
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         victim = self._select_departing_good(ident)
         if victim is None:
             return None
@@ -170,10 +170,10 @@ class EstimationHarness(Defense):
         self._good_joins_in_interval = 0
         self._intervals_seen += 1
 
-    def bootstrap(self, idents) -> None:
+    def bootstrap(self, idents) -> range:
         """Initial members join for free (estimation-only harness)."""
-        count = 0
-        for ident in idents:
+        issued = self.ids.issue_batch(len(idents))
+        for ident in issued:
             self.population.good_join(ident)
-            count += 1
-        self.after_bootstrap(count)
+        self.after_bootstrap(len(issued))
+        return issued

@@ -482,9 +482,24 @@ def _restore_sigterm() -> None:
     CLI's :func:`_sigterm_as_interrupt` or the service's stop handler --
     so :func:`_kill_pool`'s ``terminate`` would print a
     ``KeyboardInterrupt`` traceback from every idle worker, or be
-    ignored by a hung one until the SIGKILL escalation.
+    ignored by a hung one until the SIGKILL escalation.  Workers are
+    forked with SIGTERM blocked (:func:`_sigterm_blocked`), so a
+    ``terminate`` that lands before this runs stays pending and kills
+    the worker once the default action is back.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+@contextmanager
+def _sigterm_blocked():
+    """Block SIGTERM in this thread; a process forked meanwhile inherits
+    the block.  A pool forks its workers inside its first ``submit``."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _new_pool(jobs: int) -> ProcessPoolExecutor:
@@ -551,12 +566,14 @@ def _parallel_loop(state: _SweepState) -> None:
                 if state.eligible.get(index, 0.0) > now:
                     continue
                 try:
-                    fut = pool.submit(
-                        _run_task, state.fn, state.items[index], state.star,
-                        index, state.tries(index) + 1, state.fault_spec,
-                        state.digests[index],
-                        "collect" if state.on_snapshot is not None else None,
-                    )
+                    with _sigterm_blocked():
+                        fut = pool.submit(
+                            _run_task, state.fn, state.items[index],
+                            state.star, index, state.tries(index) + 1,
+                            state.fault_spec, state.digests[index],
+                            "collect" if state.on_snapshot is not None
+                            else None,
+                        )
                 except BrokenProcessPool as exc:
                     # The pool died between harvests; rebuild and let
                     # the drain below charge the in-flight points.

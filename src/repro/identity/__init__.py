@@ -2,8 +2,10 @@
 
 Implements the paper's bookkeeping assumptions (Section 2.1.1):
 
-* every joining ID receives a globally unique name (a join-event counter
-  is concatenated to the name the ID chose) -- :mod:`repro.identity.ids`;
+* every joining ID receives a globally unique name (the paper
+  concatenates a join-event counter to the name the ID chose; the
+  counter alone is unique, so here the identity is that counter, an
+  ``int``) -- :mod:`repro.identity.ids`;
 * the server/committee maintains the membership set and can compute the
   symmetric difference against past snapshots incrementally --
   :mod:`repro.identity.membership`;

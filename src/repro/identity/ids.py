@@ -1,53 +1,40 @@
-"""Unique ID naming.
+"""Unique ID issuance.
 
 "Every joining ID is treated as a new ID.  We ensure every joining ID is
 given a unique name by concatenating a join-event counter to the name
 chosen by the ID." (Section 2.1.1.)
+
+The counter alone already makes the name unique, so the simulator's
+identity *is* the counter: a plain ``int``.  The name an ID proposes
+(a trace's relay fingerprint, say) never reaches the membership set;
+the engine keeps it only as a label in its trace alias map.
 """
 
 from __future__ import annotations
 
 
 class IdentityFactory:
-    """Issues globally unique identifier strings.
+    """Issues globally unique integer identities: 1, 2, 3, ...
 
-    The factory appends a monotonically increasing join-event counter to
-    whatever name the joiner proposes, so re-joining IDs are always new
-    IDs from the system's perspective.
+    Each join gets the next value of a join-event counter, so a
+    re-joining ID is always a new ID from the system's perspective.
+    Ident 0 is never issued; the membership set reads it as absent.
     """
 
     def __init__(self) -> None:
         self._counter = 0
 
-    @property
-    def issued(self) -> int:
-        """How many identifiers have been issued so far."""
+    def issue(self) -> int:
+        """Return the next unique ident."""
+        self._counter += 1
         return self._counter
 
-    def issue(self, proposed_name: str = "id") -> str:
-        """Return a unique identifier derived from ``proposed_name``."""
-        self._counter += 1
-        return f"{proposed_name}#{self._counter}"
+    def issue_batch(self, count: int) -> range:
+        """Issue ``count`` consecutive idents as one ``range``.
 
-    def issue_batch(self, proposed_name: str = "id", count: int = 1) -> list:
-        """Issue ``count`` identifiers sharing one proposed name.
-
-        Exactly equivalent to ``count`` :meth:`issue` calls (same names,
-        same counter state after), amortizing the per-call overhead for
-        the defenses' whole-run join hooks.
+        Exactly equivalent to ``count`` :meth:`issue` calls (same idents,
+        same counter state after), with no Python object per row.
         """
-        if count == 1:
-            self._counter += 1
-            return [f"{proposed_name}#{self._counter}"]
-        start = self._counter
-        self._counter = start + count
-        prefix = proposed_name + "#"
-        return list(map(prefix.__add__, map(str, range(start + 1, start + count + 1))))
-
-    def issue_good(self) -> str:
-        """Convenience wrapper for good-ID names (used by the engine)."""
-        return self.issue("g")
-
-    def issue_bad(self) -> str:
-        """Convenience wrapper for Sybil-ID names (used by adversaries)."""
-        return self.issue("b")
+        start = self._counter + 1
+        self._counter += count
+        return range(start, start + count)

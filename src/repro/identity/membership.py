@@ -13,8 +13,9 @@ Recomputing ``|A △ B|`` from scratch is O(n) per event, and even taking
 an O(n) snapshot at each interval/iteration boundary is ruinous: against
 CCom at T = 2^20 the simulation executes on the order of 10^7 purges.
 :class:`SymmetricDifferenceTracker` therefore works with *serial
-watermarks*: every member is stamped with a monotonically increasing
-join serial, a snapshot is just the serial watermark at reset time, and
+watermarks*: every member carries a monotonically increasing join
+serial (for a good ID, its ident: idents are issued in join order), a
+snapshot is just the serial watermark at reset time, and
 
 * ``snapshot_present``  = members with serial ≤ watermark still present,
 * ``departed``          = snapshot members that left,
@@ -31,14 +32,16 @@ The storage is :class:`ArenaMembershipSet`, which holds only good IDs:
 Sybil IDs are interchangeable and live as cohorts in
 :class:`repro.core.population.AggregateBadPopulation`, while a good ID
 must be tracked individually because the departing one is drawn
-uniformly at random (Section 2).  It is one dense table -- an ident
-list, a parallel serial column and an ident -> position map -- that
-grows by appending and shrinks by swap-remove, giving O(1) uniform
+uniformly at random (Section 2).  It is one dense table -- an integer
+member column and a position map indexed by ident, both typed arrays --
+that grows by appending and shrinks by swap-remove, giving O(1) uniform
 selection.  Whole-run batch mutators
 (:meth:`~ArenaMembershipSet.add_batch` /
 :meth:`~ArenaMembershipSet.remove_batch`) replace the per-member work
 that would otherwise dominate the engine's block fast path, which is
-what makes 10^6-ID populations simulable in seconds.
+what makes 10^6-ID populations simulable in seconds: a run of issued
+idents is a ``range``, stored as two numpy ramps with no Python object
+per row.
 
 ``tests/reference_sim.py`` holds a deliberately naive reference (a
 dict, a swap-remove list, and set snapshots for the symmetric
@@ -152,20 +155,46 @@ def _extend_ramp(column: array, start: int, count: int) -> None:
         column.frombytes(np.arange(start, start + count, dtype=np.int64).tobytes())
 
 
+#: One absent position-map entry: int64 -1 is all one bits in either byte
+#: order, so a gap of ``g`` idents pads as ``_ABSENT * g`` raw bytes.
+_ABSENT = b"\xff" * 8
+
+
+def _not_new(ident, last: int) -> ValueError:
+    return ValueError(
+        f"duplicate or stale ident {ident!r}: every join is a new ID, so "
+        f"idents must exceed last_serial={last} and increase within a batch"
+    )
+
+
 class ArenaMembershipSet:
     """The server's set of good IDs, stored as one dense swap-remove table.
 
-    Position ``i`` of the table holds an ident (``_idents``) and its join
-    serial (``_serials``); ``_pos_of`` maps each ident to its position.
+    Idents are the ``int`` join counters that
+    :class:`~repro.identity.ids.IdentityFactory` issues.  ``_members``
+    holds them in table order; ``_pos`` is indexed by ident and holds its
+    table position, ``-1`` for an ident that is absent (departed, never
+    added, or skipped).  Ident 0 is never issued.
     A join appends a row; a departure moves the last row into the hole.
     That is exactly the order of a plain swap-remove list, which is what
     seeded ``random_good`` draws index into.
 
-    Serials sit in an ``array('q')``, one raw machine value per member
-    where a list would hold a pointer to a boxed int.  Like a list, and
-    unlike a numpy buffer, it appends and pops in O(1) with cheap scalar
-    access, which the engine's mix of whole-run batches and single-row
-    mutations needs.  Whole-run joins fill serials from a numpy ramp.
+    Idents are issued in join order, so an ident is its own join serial:
+    trackers are fed idents, and :attr:`last_serial` is the largest ident
+    added.  A join must therefore carry an ident above ``last_serial``
+    (strictly increasing within a batch); that one compare rejects a
+    duplicate and a re-added departed ID alike.  Gaps -- idents issued to
+    joiners the defense refused -- read as absent.
+
+    Both columns are ``array('q')``: one raw machine value per entry,
+    O(1) append/pop and cheap scalar access, which the engine's mix of
+    whole-run batches and single-row mutations needs.  A whole-run join
+    arrives as a ``range`` and fills both columns from numpy ramps.
+    Memory: the position map costs 8 B per join ever made (it is never
+    compacted), and the member column 8 B per member at its peak, since
+    an array does not shrink on pop.  The string-keyed table this
+    replaced cost ~87 B per standing member (a dict entry, a boxed
+    position, a list pointer and a serial).
 
     Supports O(1) joins and removals, O(1) uniform random selection (the
     ABC model's departure rule), any number of attached
@@ -175,16 +204,16 @@ class ArenaMembershipSet:
     """
 
     def __init__(self) -> None:
-        self._pos_of: Dict[str, int] = {}
-        self._idents: List[str] = []
-        self._serials = array("q")
+        self._members = array("q")
+        #: index 0 stands for ident 0, which is never issued
+        self._pos = array("q", [-1])
         self._trackers: Dict[str, SymmetricDifferenceTracker] = {}
         self._tracker_list: List[SymmetricDifferenceTracker] = []
-        self._serial = 0
+        self._last = 0
 
     # -- tracker plumbing --------------------------------------------------
     def attach_tracker(self, name: str, tracker: SymmetricDifferenceTracker) -> None:
-        tracker.reset(len(self._idents), self._serial)
+        tracker.reset(len(self._members), self._last)
         self._trackers[name] = tracker
         self._tracker_list = list(self._trackers.values())
 
@@ -192,83 +221,96 @@ class ArenaMembershipSet:
         return self._trackers[name]
 
     def reset_tracker(self, name: str) -> None:
-        self._trackers[name].reset(len(self._idents), self._serial)
+        self._trackers[name].reset(len(self._members), self._last)
 
     def sym_diff(self, name: str) -> int:
         return self._trackers[name].symmetric_difference
 
     # -- mutation ----------------------------------------------------------
-    def add(self, ident: str) -> None:
-        pos_of = self._pos_of
-        if ident in pos_of:
-            raise ValueError(f"duplicate ID {ident!r}")
-        serial = self._serial + 1
-        self._serial = serial
-        pos_of[ident] = len(self._idents)
-        self._idents.append(ident)
-        self._serials.append(serial)
+    def add(self, ident: int) -> None:
+        last = self._last
+        if ident <= last:
+            raise _not_new(ident, last)
+        pos = self._pos
+        if ident > last + 1:
+            pos.frombytes(_ABSENT * (ident - last - 1))
+        pos.append(len(self._members))
+        self._members.append(ident)
+        self._last = ident
         if self._tracker_list:
             for tr in self._tracker_list:
-                tr.on_join(serial)
+                tr.on_join(ident)
 
-    def add_batch(self, idents: Sequence[str]) -> None:
+    def add_batch(self, idents: Sequence[int]) -> None:
         """Add a run of brand-new members.
 
-        Observably equivalent to calling :meth:`add` row by row: serials
-        are assigned in order, the table grows in ident order, and
-        trackers see one aggregated update.
+        Observably equivalent to calling :meth:`add` row by row: the
+        table grows in ident order and trackers see one aggregated
+        update.  Every ident is checked before any is stored, so a
+        rejected batch changes nothing.  A ``range`` (what every join
+        hook passes) is checked by its first element and stored as two
+        ramps.
         """
         k = len(idents)
         if k == 0:
             return
         if k == 1:
             # Single-row runs (steady-state interleave) skip the batch
-            # machinery; ``add`` performs the same checks and feeds.
+            # machinery; ``add`` performs the same check and feeds.
             self.add(idents[0])
             return
-        pos_of = self._pos_of
-        if not pos_of.keys().isdisjoint(idents):
+        last = self._last
+        first = idents[0]
+        members = self._members
+        pos = self._pos
+        if type(idents) is range and idents.step == 1:
+            if first <= last:
+                raise _not_new(first, last)
+            if first > last + 1:
+                pos.frombytes(_ABSENT * (first - last - 1))
+            _extend_ramp(pos, len(members), k)
+            _extend_ramp(members, first, k)
+        else:
+            prev = last
             for ident in idents:
-                if ident in pos_of:
-                    raise ValueError(f"duplicate ID {ident!r}")
-        if len(set(idents)) != k:
-            # Checked *before* mutating: an intra-batch duplicate must
-            # not leave a ghost row behind the raised error.
-            raise ValueError("duplicate ident within one add_batch call")
-        a = len(self._idents)
-        s0 = self._serial
-        self._serial = s0 + k
-        self._idents.extend(idents)
-        _extend_ramp(self._serials, s0 + 1, k)
-        pos_of.update(zip(idents, range(a, a + k)))
+                if ident <= prev:
+                    raise _not_new(ident, prev)
+                prev = ident
+            for ident in idents:
+                gap = ident - len(pos)
+                if gap:
+                    pos.frombytes(_ABSENT * gap)
+                pos.append(len(members))
+                members.append(ident)
+        self._last = idents[-1]
         if self._tracker_list:
             for tr in self._tracker_list:
-                tr.on_join_batch(k, s0 + 1)
+                tr.on_join_batch(k, first)
 
-    def discard(self, ident: str) -> bool:
+    def discard(self, ident: int) -> bool:
         """Remove ``ident`` if present; return whether it was."""
-        pos = self._pos_of.pop(ident, None)
-        if pos is None:
+        pos = self._pos
+        if not 0 < ident < len(pos):
             return False
-        idents = self._idents
-        serials = self._serials
-        serial = serials[pos]
-        last = idents.pop()
-        last_serial = serials.pop()
-        if pos != len(idents):
-            idents[pos] = last
-            serials[pos] = last_serial
-            self._pos_of[last] = pos
+        at = pos[ident]
+        if at < 0:
+            return False
+        pos[ident] = -1
+        members = self._members
+        moved = members.pop()
+        if at != len(members):
+            members[at] = moved
+            pos[moved] = at
         if self._tracker_list:
             for tr in self._tracker_list:
-                tr.on_depart(serial)
+                tr.on_depart(ident)
         return True
 
     #: Same call; ``perfbench/layers.py`` times both names.
     remove = discard
 
-    def remove_batch(self, idents: Sequence[str]) -> int:
-        """Remove a run of named members; absent idents are no-ops.
+    def remove_batch(self, idents: Sequence[int]) -> int:
+        """Remove a run of members; absent idents (and 0) are no-ops.
 
         Returns the number actually removed.  Swap-removals happen in
         ident order, exactly as sequential :meth:`discard` calls would,
@@ -278,63 +320,64 @@ class ArenaMembershipSet:
         """
         if len(idents) == 1:
             return 1 if self.discard(idents[0]) else 0
-        pos_of = self._pos_of
-        pop = pos_of.pop
+        pos = self._pos
+        end = len(pos)
+        members = self._members
+        pop = members.pop
+        before = n = len(members)
         track = bool(self._tracker_list)
-        serials: List[int] = []
-        track_serial = serials.append
-        all_idents = self._idents
-        before = len(all_idents)
-        all_serials = self._serials
-        pop_ident = all_idents.pop
-        pop_serial = all_serials.pop
+        gone: List[int] = []
+        note = gone.append
         # Inlined ``discard``: this loop runs once per session departure,
         # and the call overhead alone is measurable.
         for ident in idents:
-            pos = pop(ident, None)
-            if pos is None:
+            if not 0 < ident < end:
                 continue
+            at = pos[ident]
+            if at < 0:
+                continue
+            pos[ident] = -1
             if track:
-                track_serial(all_serials[pos])
-            last = pop_ident()
-            last_serial = pop_serial()
-            if pos != len(all_idents):
-                all_idents[pos] = last
-                all_serials[pos] = last_serial
-                pos_of[last] = pos
-        if track and serials:
+                note(ident)
+            moved = pop()
+            n -= 1
+            if at != n:
+                members[at] = moved
+                pos[moved] = at
+        if gone:
             for tr in self._tracker_list:
-                tr.on_depart_batch(serials)
-        return before - len(all_idents)
+                tr.on_depart_batch(gone)
+        return before - n
 
     # -- queries -----------------------------------------------------------
-    def __contains__(self, ident: str) -> bool:
-        return ident in self._pos_of
+    def __contains__(self, ident: int) -> bool:
+        pos = self._pos
+        return 0 < ident < len(pos) and pos[ident] >= 0
 
     def __len__(self) -> int:
-        return len(self._idents)
+        return len(self._members)
 
     @property
     def size(self) -> int:
-        return len(self._idents)
+        return len(self._members)
 
     @property
     def last_serial(self) -> int:
-        return self._serial
+        return self._last
 
-    def good_ids(self) -> List[str]:
+    def good_ids(self) -> List[int]:
         """The members in table order (the order ``random_good`` indexes)."""
-        return list(self._idents)
+        return self._members.tolist()
 
-    def random_good(self, rng: np.random.Generator) -> Optional[str]:
+    def random_good(self, rng: np.random.Generator) -> Optional[int]:
         """A good ID selected uniformly at random, or ``None`` if empty.
 
         This implements the ABC model's rule that the adversary schedules
         *when* a good departure happens but cannot choose *which* good ID
         departs (Section 2).
         """
-        idents = self._idents
-        n = len(idents)
+        members = self._members
+        n = len(members)
         if not n:
             return None
-        return idents[int(rng.integers(0, n))]
+        return members[int(rng.integers(0, n))]

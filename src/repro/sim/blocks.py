@@ -50,7 +50,7 @@ class ChurnBlock:
             rows (``NaN`` = no session, i.e. no scheduled departure).
             ``None`` means no row has a session.
         idents: optional sequence of per-row ident labels (``None``
-            entries mean "anonymous": the defense names the joiner, or
+            entries mean "anonymous": the joiner proposes no name, or
             the departure victim is chosen uniformly at random).
             ``None`` means every row is anonymous.
     """

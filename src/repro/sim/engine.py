@@ -32,9 +32,13 @@ Hot-path design (this loop runs millions of times per sweep):
   :meth:`Simulation.run`; ``tests/reference_sim.py`` is that
   simulation, and the tests hold the engine to it).
 * **Tuple-backed session departures** -- a departure the engine
-  schedules for an admitted joiner is stored in the heap as a bare
-  ident string rather than a frozen ``GoodDeparture`` dataclass, and
+  schedules for an admitted joiner is stored in the heap as its bare
+  ``int`` ident rather than a frozen ``GoodDeparture`` dataclass, and
   consecutive departures at the heap front are drained as one batch.
+* **Integer identities** -- a good ID is the ``int`` its defense's
+  :class:`~repro.identity.ids.IdentityFactory` issued (Section 2.1.1's
+  join-event counter); names a trace proposes stay at the edge, as
+  keys of the engine's alias map.
 * **Lazy ticks** -- a single recurring tick sentinel is re-armed as it
   fires instead of pre-scheduling ``horizon / tick_interval`` events up
   front, so the heap stays shallow and memory stays O(1) in the
@@ -120,7 +124,7 @@ class EventQueue:
     ABC model's "server orders simultaneous events" assumption requires.
 
     Besides :class:`~repro.sim.events.Event` objects the heap carries two
-    engine-internal payloads: bare ident strings (session departures
+    engine-internal payloads: bare ``int`` idents (session departures
     scheduled for admitted joiners) and the tick sentinel.  Both exist to
     avoid a frozen-dataclass allocation per scheduled item.
 
@@ -142,7 +146,7 @@ class EventQueue:
         self.max_size = 0
 
     def push_entry(self, time: float, priority: int, item) -> None:
-        """Schedule an arbitrary payload (event, ident string, sentinel)."""
+        """Schedule an arbitrary payload (event, int ident, sentinel)."""
         heap = self._heap
         heapq.heappush(heap, (time, priority, next(self._seq), item))
         self.pushes += 1
@@ -152,7 +156,7 @@ class EventQueue:
     def push(self, event: Event, priority: int = 0) -> None:
         self.push_entry(event.time, priority, event)
 
-    def push_departure(self, time: float, ident: str) -> None:
+    def push_departure(self, time: float, ident: int) -> None:
         """Schedule a session departure for ``ident`` (tuple-backed)."""
         self.push_entry(time, 0, ident)
 
@@ -251,20 +255,24 @@ class Simulation:
         self._block_idents: Optional[list] = None
         self._block_index = 0
         self._initial_members = list(initial_members) if initial_members else []
-        #: proposed trace ident -> latest admitted unique.  Per Section
-        #: 2.1.1 every join is issued a fresh unique name, so a replayed
+        #: proposed name -> latest admitted int ident.  Per Section
+        #: 2.1.1 every join is issued a fresh unique ident, so a replayed
         #: trace's departure rows (which name the *proposed* ident, e.g.
         #: ``relay-09``) would otherwise never match a member and every
-        #: flap cycle would leak one standing ID.  The block loop
-        #: translates named good departures through this map, *popping*
-        #: the entry as it does (a re-departure of the same name is a
-        #: no-op); session departures of named joiners clean up through
-        #: ``_alias_owners``.  Memory is therefore bounded by
-        #: standing named members, not by total joins.
+        #: flap cycle would leak one standing ID.  Initial members are
+        #: registered under their ``InitialMember.ident`` at bootstrap.
+        #: The block loop resolves every named good departure through
+        #: this map, *popping* the entry as it does: a name with no entry
+        #: (never admitted, or a re-departure of the same name) resolves
+        #: to ident 0, which names no member, so the row is a no-op.
+        #: Session departures of named members clean up through
+        #: ``_alias_owners``.  Memory is therefore bounded by standing
+        #: named members, not by total joins.
         self._trace_aliases: dict = {}
-        #: admitted unique -> proposed ident, for named joiners whose
-        #: departure the engine itself schedules (session rows): when
-        #: that session departure fires, the alias entry is retired too.
+        #: admitted int ident -> proposed name, for named members whose
+        #: departure the engine itself schedules (session rows, initial
+        #: residuals): when that departure fires, the alias entry is
+        #: retired too.
         self._alias_owners: dict = {}
         self._next_sample = 0.0
         #: live-telemetry consumer; see :meth:`_emit_snapshot`
@@ -629,8 +637,12 @@ class Simulation:
                                 if len(heap) > max_size:
                                     max_size = len(heap)
                         else:
-                            if ids_seg is not None and aliases:
-                                ids_seg = [aliases.pop(i, i) for i in ids_seg]
+                            if ids_seg is not None:
+                                unalias = aliases.pop
+                                ids_seg = [
+                                    None if i is None else unalias(i, 0)
+                                    for i in ids_seg
+                                ]
                             depart_batch(times_seg, ids_seg)
                             self._good_departure_events += k
                         fast_events += k
@@ -678,7 +690,7 @@ class Simulation:
                 adv_act(event_time)
                 adv_wake = adversary.next_wake(event_time)
             cls = event.__class__
-            if cls is str:
+            if cls is int:
                 # Session departure: drain the run of consecutive
                 # tuple-backed departures at the heap front.  Bounds
                 # mirror the block batch: stop before the adversary's
@@ -688,7 +700,7 @@ class Simulation:
                 run = None
                 if event_time < next_sample and heap:
                     top = heap[0]
-                    if top[3].__class__ is str:
+                    if top[3].__class__ is int:
                         t2 = top[0]
                         # Strict bound: a departure at exactly the next
                         # block row's time leaves the drain, and the
@@ -705,7 +717,7 @@ class Simulation:
                                 if not heap:
                                     break
                                 top = heap[0]
-                                if top[3].__class__ is not str:
+                                if top[3].__class__ is not int:
                                     break
                                 t2 = top[0]
                                 if (
@@ -786,21 +798,21 @@ class Simulation:
 
         Initial members model a system already in steady state: each
         carries a *residual* session time (sampled from the equilibrium
-        distribution by the churn datasets) after which it departs.
+        distribution by the churn datasets) after which it departs.  The
+        defense issues each one an int ident; its ``InitialMember.ident``
+        name becomes an alias, so trace rows that name it still resolve.
         """
-        if not self._initial_members:
-            self.defense.bootstrap([])
-            return
-        idents = []
-        for member in self._initial_members:
-            idents.append(member.ident)
-        self.defense.bootstrap(idents)
-        for member in self._initial_members:
-            if member.residual is None:
-                continue
+        members = self._initial_members
+        issued = self.defense.bootstrap([member.ident for member in members])
+        aliases = self._trace_aliases
+        owners = self._alias_owners
+        horizon = self.config.horizon
+        for member, uid in zip(members, issued):
+            aliases[member.ident] = uid
             depart_at = member.residual
-            if 0 <= depart_at <= self.config.horizon:
-                self.queue.push_departure(depart_at, member.ident)
+            if depart_at is not None and 0 <= depart_at <= horizon:
+                self.queue.push_departure(depart_at, uid)
+                owners[uid] = member.ident
 
     def _arm_tick(self) -> None:
         """Schedule the first recurring tick (re-armed as each one fires).

@@ -56,8 +56,10 @@ class GoodJoin(Event):
     """A good ID wants to join.
 
     ``ident`` is an opaque label chosen by the trace generator; the
-    identity layer concatenates a join-event counter to guarantee global
-    uniqueness (Section 2.1.1).  ``session`` optionally carries the
+    defense issues the joiner a fresh ``int`` ident from a join-event
+    counter, which is what guarantees global uniqueness (Section 2.1.1),
+    and the engine keeps the label as an alias for later departure rows
+    that name it.  ``session`` optionally carries the
     session duration sampled by the trace generator, so the engine can
     schedule the matching departure.
     """
@@ -72,10 +74,12 @@ class GoodJoin(Event):
 class GoodDeparture(Event):
     """A good ID departs.
 
-    If ``ident`` is ``None``, the departing ID is selected uniformly at
-    random from the good IDs currently in the system -- the ABC model's
-    rule when the adversary schedules a departure *event* but cannot pick
-    the victim (Section 2).
+    A named departure resolves through the engine's alias map to the
+    latest ID admitted under that label (or an initial member's name);
+    an unknown label is a no-op.  If ``ident`` is ``None``, the departing
+    ID is selected uniformly at random from the good IDs currently in
+    the system -- the ABC model's rule when the adversary schedules a
+    departure *event* but cannot pick the victim (Section 2).
     """
 
     ident: Optional[str] = None

@@ -20,30 +20,24 @@ class NullDefense(Defense):
 
     name = "null"
 
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident if ident is not None else "g")
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
+        unique = self.ids.issue()
         self.population.good_join(unique)
         return unique
 
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         victim = self._select_departing_good(ident)
         if victim is not None:
             self.population.good_depart(victim)
         return victim
 
-    def process_good_join_batch(self, times, idents=None) -> list:
+    def process_good_join_batch(self, times, idents=None) -> range:
         """Batched joins: issue-and-admit with no charges at all.
 
         One ``issue_batch`` + one arena ``add_batch`` per run -- this
         hook is the floor every engine-loop benchmark number sits on.
         """
-        if idents is None:
-            uniques = self.ids.issue_batch("g", len(times))
-        else:
-            issue = self.ids.issue
-            uniques = [
-                issue(ident if ident is not None else "g") for ident in idents
-            ]
+        uniques = self.ids.issue_batch(len(times))
         self.population.good.add_batch(uniques)
         return uniques
 

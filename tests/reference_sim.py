@@ -129,9 +129,9 @@ class ReferenceSimulation(Simulation):
             self._good_departure_events += 1
             ident = item.ident
             defense.process_good_departure(
-                None if ident is None else aliases.pop(ident, ident)
+                None if ident is None else aliases.pop(ident, 0)
             )
-        elif isinstance(item, str):  # a scheduled session departure
+        elif type(item) is int:  # a scheduled session departure
             self._good_departure_events += 1
             defense.process_good_departure(item)
             proposed = owners.pop(item, None)
@@ -142,7 +142,7 @@ class ReferenceSimulation(Simulation):
 
 
 class NaiveMembership:
-    """Membership as a swap-remove list and set snapshots."""
+    """Membership of int idents as a swap-remove list and set snapshots."""
 
     def __init__(self):
         self.good = []  # the order random_good indexes into
@@ -150,7 +150,7 @@ class NaiveMembership:
         self.snapshot = set()
 
     def add(self, ident):
-        assert ident not in self.good
+        assert type(ident) is int and ident not in self.good
         self.serial += 1
         self.good.append(ident)
 

@@ -19,7 +19,7 @@ def test_parameter_validation():
 def test_recurring_rate_formula():
     """L/W = T_max/(κN) -- Equation 13's per-ID rate."""
     defense = Remp(t_max=1.0e6, kappa=1 / 18)
-    defense.population.good_join("a")
+    defense.population.good_join(1)
     defense.population.bad_join(1, now=0.0)
     assert defense.recurring_cost_rate_per_id() == pytest.approx(1.0e6 * 18 / 2)
 

@@ -8,8 +8,8 @@ from repro.core.population import SystemPopulation
 
 def make_population(good: int, bad: int) -> SystemPopulation:
     population = SystemPopulation()
-    for i in range(good):
-        population.good_join(f"g{i}")
+    for ident in range(1, good + 1):
+        population.good_join(ident)
     population.bad_join(bad, now=0.0)
     return population
 

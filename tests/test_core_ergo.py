@@ -116,7 +116,8 @@ class TestPurges:
     def test_departures_count_toward_the_trigger(self):
         sim, defense = build_ergo_sim(horizon=10.0)
         sim.run()
-        for ident in [f"i{k}" for k in range(4)]:
+        # The first four initial members, by the idents bootstrap issued.
+        for ident in range(1, 5):
             defense.process_good_departure(ident)
         assert defense.purge_count == 1
 

@@ -7,10 +7,16 @@ from repro.core.population import SystemPopulation
 
 
 def make_population(n0=24):
+    """``n0`` initial good IDs, idents 1..n0."""
     population = SystemPopulation()
-    for i in range(n0):
-        population.good_join(f"init{i}")
+    for ident in range(1, n0 + 1):
+        population.good_join(ident)
     return population
+
+
+def join_new(population):
+    """Join one good ID under the next unissued ident."""
+    population.good_join(population.good.last_serial + 1)
 
 
 def test_threshold_constant_is_five_twelfths():
@@ -44,7 +50,7 @@ def test_no_update_below_threshold():
     estimator.initialize(now=0.0)
     # 9 joins on 24+9=33: sym diff 9 < (5/12)*33 = 13.75.
     for i in range(9):
-        population.good_join(f"new{i}")
+        join_new(population)
         assert estimator.on_event(1.0 + i) is False
     assert estimator.intervals == []
 
@@ -56,7 +62,7 @@ def test_update_fires_at_threshold():
     updated_at = None
     for i in range(40):
         now = 1.0 + i
-        population.good_join(f"new{i}")
+        join_new(population)
         if estimator.on_event(now):
             updated_at = now
             break
@@ -72,11 +78,9 @@ def test_interval_records_accumulate():
     population = make_population(n0=24)
     estimator = GoodJEst(population)
     estimator.initialize(now=0.0)
-    counter = 0
     for i in range(200):
         now = 1.0 + i
-        population.good_join(f"n{counter}")
-        counter += 1
+        join_new(population)
         estimator.on_event(now)
     assert len(estimator.intervals) >= 2
     # Intervals tile time: each starts where the previous ended.
@@ -92,7 +96,7 @@ def test_departures_count_toward_interval():
     updated = False
     for i in range(24):
         now = 1.0 + i
-        population.good_depart(f"init{i}")
+        population.good_depart(i + 1)
         if estimator.on_event(now):
             updated = True
             break
@@ -166,9 +170,9 @@ class TestTripDistances:
         k = estimator.joins_until_update()
         # The k-th join trips; the (k-1)-th must not.
         for i in range(k - 1):
-            population.good_join(f"j{i}")
+            join_new(population)
             assert estimator.on_event(1.0) is False
-        population.good_join(f"j{k}")
+        join_new(population)
         assert estimator.on_event(1.0) is True
 
     def test_joins_until_update_recomputes_after_trip(self):
@@ -178,9 +182,9 @@ class TestTripDistances:
         for round_no in range(3):
             k = estimator.joins_until_update()
             for i in range(k - 1):
-                population.good_join(f"r{round_no}-{i}")
+                join_new(population)
                 assert not estimator.on_event(float(round_no + 1))
-            population.good_join(f"r{round_no}-last")
+            join_new(population)
             assert estimator.on_event(float(round_no + 1))
 
     def test_pending_update_means_no_trip(self):

@@ -147,7 +147,7 @@ class TestAggregateBadPopulation:
 class TestSystemPopulation:
     def test_combined_counts(self):
         population = SystemPopulation()
-        population.good_join("g1")
+        population.good_join(1)
         population.bad_join(3, now=0.0)
         assert population.size == 4
         assert population.good_count == 1
@@ -159,30 +159,30 @@ class TestSystemPopulation:
 
     def test_combined_sym_diff_spans_both_sides(self):
         population = SystemPopulation()
-        population.good_join("g1")
+        population.good_join(1)
         population.bad_join(2, now=0.0)
         population.attach_combined_tracker("t")
-        population.good_join("g2")
+        population.good_join(2)
         population.bad_join(3, now=1.0)
-        population.good_depart("g1")
+        population.good_depart(1)
         assert population.combined_sym_diff("t") == 5  # g2 + 3 bad + g1 gone
 
     def test_reset_combined(self):
         population = SystemPopulation()
-        population.good_join("g1")
+        population.good_join(1)
         population.attach_combined_tracker("t")
-        population.good_join("g2")
+        population.good_join(2)
         population.bad_join(1, now=1.0)
         population.reset_combined_tracker("t")
         assert population.combined_sym_diff("t") == 0
 
     def test_random_good_ignores_bad(self):
         population = SystemPopulation()
-        population.good_join("g1")
+        population.good_join(1)
         population.bad_join(100, now=0.0)
         rng = np.random.default_rng(1)
-        assert population.random_good(rng) == "g1"
+        assert population.random_good(rng) == 1
 
     def test_good_depart_missing(self):
         population = SystemPopulation()
-        assert population.good_depart("ghost") is False
+        assert population.good_depart(1) is False

@@ -165,7 +165,7 @@ class RecordingDefense(Defense):
         self.log = []
 
     def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident or "g")
+        unique = self.ids.issue()
         self.population.good_join(unique)
         self.log.append(("join", self.now, ident))
         return unique

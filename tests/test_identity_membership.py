@@ -17,29 +17,29 @@ def make_set(*idents):
 
 class TestMembershipBasics:
     def test_add_and_contains(self):
-        membership = make_set("a", "b")
-        assert "a" in membership
-        assert "c" not in membership
+        membership = make_set(1, 2)
+        assert 1 in membership
+        assert 3 not in membership
         assert membership.size == 2
 
     def test_duplicate_add_rejected(self):
-        membership = make_set("a")
+        membership = make_set(1)
         with pytest.raises(ValueError, match="duplicate"):
-            membership.add("a")
+            membership.add(1)
 
     def test_remove_returns_true(self):
-        membership = make_set("a")
-        assert membership.remove("a") is True
+        membership = make_set(1)
+        assert membership.remove(1) is True
         assert membership.size == 0
 
     def test_remove_missing_returns_false(self):
-        assert make_set().remove("ghost") is False
+        assert make_set().remove(1) is False
 
     def test_id_lists(self):
-        membership = make_set("a", "b", "c")
-        assert membership.good_ids() == ["a", "b", "c"]
-        membership.remove("a")  # swap-remove: the last ID fills the hole
-        assert membership.good_ids() == ["c", "b"]
+        membership = make_set(1, 2, 3)
+        assert membership.good_ids() == [1, 2, 3]
+        membership.remove(1)  # swap-remove: the last ID fills the hole
+        assert membership.good_ids() == [3, 2]
 
 
 class TestRandomGood:
@@ -49,8 +49,8 @@ class TestRandomGood:
 
     def test_selection_is_roughly_uniform(self):
         rng = np.random.default_rng(0)
-        membership = make_set(*[f"g{i}" for i in range(4)])
-        counts = {f"g{i}": 0 for i in range(4)}
+        membership = make_set(1, 2, 3, 4)
+        counts = {ident: 0 for ident in (1, 2, 3, 4)}
         for _ in range(4000):
             counts[membership.random_good(rng)] += 1
         for count in counts.values():
@@ -58,51 +58,51 @@ class TestRandomGood:
 
     def test_swap_remove_keeps_selection_valid(self):
         rng = np.random.default_rng(0)
-        membership = make_set("a", "b", "c", "d")
-        membership.remove("b")
+        membership = make_set(1, 2, 3, 4)
+        membership.remove(2)
         picks = {membership.random_good(rng) for _ in range(100)}
-        assert picks <= {"a", "c", "d"}
+        assert picks <= {1, 3, 4}
 
 
 class TestSymmetricDifferenceTracker:
     def test_join_then_depart_cancels(self):
         """The Section 8.1 subtlety: quick join+depart moves nothing."""
-        membership = make_set("old1", "old2")
+        membership = make_set(1, 2)
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("new")
+        membership.add(3)
         assert membership.sym_diff("t") == 1
-        membership.remove("new")
+        membership.remove(3)
         assert membership.sym_diff("t") == 0
 
     def test_departure_of_snapshot_member_counts(self):
-        membership = make_set("old1", "old2")
+        membership = make_set(1, 2)
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.remove("old1")
+        membership.remove(1)
         assert membership.sym_diff("t") == 1
 
     def test_replacement_counts_twice(self):
-        membership = make_set("old1", "old2")
+        membership = make_set(1, 2)
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("new")
-        membership.remove("old1")
+        membership.add(3)
+        membership.remove(1)
         assert membership.sym_diff("t") == 2
 
     def test_reset_zeroes_the_difference(self):
-        membership = make_set("a", "b")
+        membership = make_set(1, 2)
         membership.attach_tracker("t", SymmetricDifferenceTracker())
-        membership.add("c")
-        membership.remove("a")
+        membership.add(3)
+        membership.remove(1)
         membership.reset_tracker("t")
         assert membership.sym_diff("t") == 0
-        membership.remove("c")  # c is now a snapshot member
+        membership.remove(3)  # 3 is now a snapshot member
         assert membership.sym_diff("t") == 1
 
     def test_multiple_trackers_are_independent(self):
-        membership = make_set("a")
+        membership = make_set(1)
         membership.attach_tracker("t1", SymmetricDifferenceTracker())
-        membership.add("b")
+        membership.add(2)
         membership.attach_tracker("t2", SymmetricDifferenceTracker())
-        membership.add("c")
+        membership.add(3)
         assert membership.sym_diff("t1") == 2
         assert membership.sym_diff("t2") == 1
 
@@ -114,15 +114,15 @@ class TestSymmetricDifferenceTracker:
         op 0 = join a fresh ID; op 1 = remove the oldest present ID;
         op 2 = remove the newest present ID.
         """
-        membership = make_set(*[f"init{i}" for i in range(5)])
+        membership = make_set(1, 2, 3, 4, 5)
         membership.attach_tracker("t", SymmetricDifferenceTracker())
         snapshot = set(membership.good_ids())
         present = list(membership.good_ids())
-        counter = 0
+        counter = 5
         for op in ops:
             if op == 0:
                 counter += 1
-                ident = f"x{counter}"
+                ident = counter
                 membership.add(ident)
                 present.append(ident)
             elif present:

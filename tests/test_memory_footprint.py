@@ -5,7 +5,8 @@ per-member bytes set the simulation's peak RSS, and any per-row state
 in the cost ledger grows with every join ever made.  Both are measured
 with ``tracemalloc`` around the mutators only: idents and amounts are
 built before tracing starts, as the engine builds them outside these
-layers.
+layers.  The table's position map is indexed by ident, so it also grows
+with every join ever made; the churned-out budget bounds that.
 """
 
 import tracemalloc
@@ -19,12 +20,18 @@ N = 100_000
 #: engine-realistic join run length on a flash crowd
 RUN = 32
 
-#: The dense good-member table measures ~87 B/member on CPython 3.11:
-#: the ident -> position dict entry and its boxed int, one list pointer
-#: and one raw serial.  3.10's larger dict entries add ~12 B (unmeasured
-#: on 3.10 and 3.12 here); the slot arena with bad-member columns
-#: measured ~113 B and its boxed-list layout ~218 B.
-ARENA_BYTES_PER_MEMBER = 110
+#: The integer table measures ~16.5 B/member on CPython 3.11: one raw
+#: int64 in the member column and one in the position map, plus array
+#: over-allocation.  The string-keyed table it replaced (a dict entry
+#: and boxed position, a list pointer, a raw serial) measured ~87 B, the
+#: slot arena before it ~113 B and its boxed-list layout ~218 B.
+ARENA_BYTES_PER_MEMBER = 24
+
+#: After N joins and N - 1,000 departures the position map still holds
+#: one int64 per join ever made and the member column keeps its peak
+#: capacity (arrays do not shrink on pop): ~16.5 B per join on CPython
+#: 3.11, against ~47 B for the string-keyed table.
+CHURNED_BYTES_PER_JOIN = 20
 
 
 def _traced_growth(fn) -> int:
@@ -40,7 +47,7 @@ def _traced_growth(fn) -> int:
 
 
 def test_arena_bytes_per_member_within_budget():
-    idents = IdentityFactory().issue_batch("g", N)
+    idents = IdentityFactory().issue_batch(N)
     runs = [idents[i : i + RUN] for i in range(0, N, RUN)]
 
     def build():
@@ -52,6 +59,25 @@ def test_arena_bytes_per_member_within_budget():
 
     per_member = _traced_growth(build) / N
     assert per_member <= ARENA_BYTES_PER_MEMBER, per_member
+
+
+def test_churned_out_arena_bytes_per_join_within_budget():
+    idents = IdentityFactory().issue_batch(N)
+    runs = [idents[i : i + RUN] for i in range(0, N, RUN)]
+    leavers = list(idents[: N - 1_000])
+    gone = [leavers[i : i + RUN] for i in range(0, len(leavers), RUN)]
+
+    def churn():
+        arena = ArenaMembershipSet()
+        for run in runs:
+            arena.add_batch(run)
+        for run in gone:
+            arena.remove_batch(run)
+        assert len(arena) == 1_000
+        return arena
+
+    per_join = _traced_growth(churn) / N
+    assert per_join <= CHURNED_BYTES_PER_JOIN, per_join
 
 
 def test_ledger_keeps_no_per_row_state():

@@ -5,6 +5,8 @@ from typing import Optional
 import pytest
 
 from repro.core.protocol import Defense
+from repro.identity.membership import ArenaMembershipSet
+from repro.sim.blocks import DEPART, JOIN, ChurnBlock
 from repro.sim.engine import EventQueue, Simulation, SimulationConfig
 from repro.sim.events import Callback, GoodDeparture, GoodJoin, Tick
 from repro.churn.traces import InitialMember
@@ -21,13 +23,13 @@ class RecordingDefense(Defense):
         self.departures = []
         self.ticks = 0
 
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[str]:
-        unique = self.ids.issue(ident or "g")
+    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
+        unique = self.ids.issue()
         self.population.good_join(unique)
         self.joins.append((self.now, unique))
         return unique
 
-    def process_good_departure(self, ident: Optional[str] = None) -> Optional[str]:
+    def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
         victim = self._select_departing_good(ident)
         if victim is None:
             return None
@@ -120,7 +122,8 @@ class TestSimulation:
         ]
         sim, defense = self._build([], initial=initial)
         result = sim.run()
-        assert [ident for _, ident in defense.departures] == ["a"]
+        # Bootstrap issues idents in initial-member order: "a" is 1.
+        assert [ident for _, ident in defense.departures] == [1]
         assert result.final_system_size == 1
         # Bootstrap charged 1 per initial member.
         assert result.good_spend == 2.0
@@ -170,8 +173,41 @@ class TestSimulation:
         sim, defense = self._build(events, initial=initial)
         result = sim.run()
         assert len(defense.departures) == 1
-        assert defense.departures[0][1].startswith("m")
+        assert defense.departures[0][1] in range(1, 11)
         assert result.final_system_size == 9
+
+    def test_block_departure_naming_an_initial_member_removes_it(self):
+        initial = [InitialMember(ident="a"), InitialMember(ident="b")]
+        block = ChurnBlock([1.0], [DEPART], idents=["b"])
+        sim, defense = self._build([block], initial=initial)
+        result = sim.run()
+        assert defense.departures == [(1.0, 2)]
+        assert result.final_system_size == 1
+
+    def test_unaliased_named_departure_is_a_counted_noop(self):
+        # "ghost" was never admitted, and "a"'s second departure finds
+        # its alias already spent: both resolve to ident 0, which names
+        # no member, yet each is still a departure event.
+        initial = [InitialMember(ident="a"), InitialMember(ident="b")]
+        block = ChurnBlock(
+            [1.0, 2.0, 3.0], [DEPART] * 3, idents=["ghost", "a", "a"]
+        )
+        sim, defense = self._build([block], initial=initial)
+        result = sim.run()
+        assert defense.departures == [(2.0, 1)]
+        assert result.final_system_size == 1
+        assert result.counters["good_departure_events"] == 3
+
+    def test_rejoined_name_departs_its_latest_member(self):
+        block = ChurnBlock(
+            [1.0, 2.0, 3.0, 4.0], [JOIN, DEPART, JOIN, DEPART],
+            idents=["x", "x", "x", "x"],
+        )
+        sim, defense = self._build([block])
+        result = sim.run()
+        assert [ident for _, ident in defense.joins] == [1, 2]
+        assert defense.departures == [(2.0, 1), (4.0, 2)]
+        assert result.final_system_size == 0
 
     def test_result_rates(self):
         events = [GoodJoin(time=1.0)]
@@ -181,6 +217,21 @@ class TestSimulation:
         assert result.good_spend == 0.0
         assert result.horizon == 10.0
         assert result.counters["good_join_events"] == 1
+
+
+def test_arena_rejects_an_ident_that_is_not_new():
+    # Every join is a new ID (Section 2.1.1): an ident at or below
+    # last_serial -- a standing member's or a departed one's -- is refused.
+    arena = ArenaMembershipSet()
+    arena.add_batch(range(1, 4))
+    arena.discard(2)
+    for stale in (2, 3, 0):
+        with pytest.raises(ValueError, match="duplicate"):
+            arena.add(stale)
+    assert arena.good_ids() == [1, 3]
+    assert arena.last_serial == 3
+    arena.add(4)
+    assert 4 in arena
 
 
 class TestLazyTicks:
