@@ -5,12 +5,13 @@ assigned to joining IDs is always 1.  Thus, CCom does not need knowledge
 of the good join rate and, therefore, has no estimation component like
 GoodJEst." (Section 10.1.)
 
-Reusing Ergo's iteration/purge machinery, CCom overrides the entrance
-cost to a constant 1 and batches adversarial joins with flat-cost
-arithmetic.  Against a flood, every Sybil join costs the adversary only
-1 but still advances the iteration counter, so purges (each costing all
-good IDs 1) fire at a rate linear in T -- the O(T + J) spend rate that
-Figure 8 shows growing ~100x faster than Ergo at T = 2^20.
+Reusing Ergo's joins, departures and iteration/purge machinery, CCom
+overrides the entrance cost to a constant 1 and batches adversarial
+joins with flat-cost arithmetic.  Against a flood, every Sybil join
+costs the adversary only 1 but still advances the iteration counter, so
+purges (each costing all good IDs 1) fire at a rate linear in T -- the
+O(T + J) spend rate that Figure 8 shows growing ~100x faster than Ergo
+at T = 2^20.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ class CCom(Ergo):
     def quote_entrance_cost(self) -> float:
         return 1.0
 
-    def _batch_pricing(self):
-        """Flat 1-hard joins: the vectorized batch skips window quotes."""
-        return 1.0
-
-    def process_good_join(self, ident: Optional[str] = None) -> Optional[int]:
-        unique = self.ids.issue()
-        self.accountant.charge_good(1.0, category="entrance")
-        self.population.good_join(unique)
-        self._note_events(joins=1)
-        return unique
+    def _price_run(self, times) -> list:
+        """Flat 1-hard joins: the window records the run without quoting it."""
+        self._window.record_run(times)
+        return [1.0] * len(times)
 
     def process_bad_join_batch(self, budget: float) -> Tuple[int, float]:
         attempted_total = 0
@@ -56,6 +51,6 @@ class CCom(Ergo):
             remaining -= cost
             attempted_total += batch
             cost_total += cost
-            self.population.bad_join(batch, self.now)
+            self.population.bad_join(batch)
             self._note_events(joins=batch)
         return attempted_total, cost_total

@@ -187,20 +187,17 @@ class Ergo(Defense):
         self.sim.metrics.counters.add("good_abandoned")
         return None
 
-    def _batch_pricing(self):
-        """How the vectorized join batch prices a run.
+    def _price_run(self, times) -> list:
+        """Each row's entrance cost for a join run; records the run.
 
-        ``"window"`` -- Ergo's own quote (``1 +`` sliding-window count),
-        vectorized through ``SlidingWindowCounter.quote_record_run``.  A
-        float -- a flat per-join cost (CCom overrides this to ``1.0``).
-        ``None`` -- the subclass overrode :meth:`quote_entrance_cost`
-        with something this class cannot vectorize; the batch hook falls
-        back to the per-row loop, which prices through the virtual
-        quote.
+        Ergo's quote (``1 +`` sliding-window count) for every row of
+        ``times``, vectorized through
+        ``SlidingWindowCounter.quote_record_run``, which also records the
+        run in the window.  A subclass that changes
+        :meth:`quote_entrance_cost` must override this too: the batch
+        hook prices through this method, never through the quote.
         """
-        if type(self).quote_entrance_cost is Ergo.quote_entrance_cost:
-            return "window"
-        return None
+        return [1.0 + c for c in self._window.quote_record_run(times)]
 
     def process_good_join_batch(self, times, idents=None):
         """Batched good joins: whole-run pricing between protocol trips.
@@ -211,7 +208,7 @@ class Ergo(Defense):
         never extends past the row where the purge rule or GoodJEst's
         interval rule can trip (both advance by exactly one per join, so
         the trip row is computed in closed form), and inside a chunk the
-        entire run is priced in one ``quote_record_run`` pass, charged in
+        entire run is priced in one :meth:`_price_run` pass, charged in
         one float-exact ``charge_seq``, and admitted in one arena
         ``add_batch``.  Purges and GoodJEst issue no idents, so the whole
         run's idents are issued up front as one ``range`` and each chunk
@@ -220,19 +217,12 @@ class Ergo(Defense):
         until their trip row, and the per-row ``_observe_fraction`` is
         dropped because across a pure join run the bad fraction is
         non-increasing, so the pre-batch peak dominates every
-        intermediate value.  Classifier runs (ERGO-SF) fall back to the
-        generic loop, which handles retries; subclasses with custom
-        quotes fall back to the per-row loop.
+        intermediate value.  Classifier runs (ERGO-SF) take the generic
+        per-ID loop, which handles retries.
         """
         if self.config.classifier is not None:
             return super().process_good_join_batch(times, idents)
-        pricing = self._batch_pricing()
         n = len(times)
-        if pricing is None or n < 4:
-            # Tiny runs (steady-state interleave cuts batches to a row
-            # or two): the closed-form trip bounds cost more than the
-            # per-row checks they elide.
-            return self._join_batch_per_row(times)
         clock = self.sim.clock
         window = self._window
         goodjest = self.goodjest
@@ -254,13 +244,7 @@ class Ergo(Defense):
             if until_jest < k:
                 k = until_jest
             chunk = times[i : i + k]
-            if pricing == "window":
-                counts = window.quote_record_run(chunk)
-                costs = [1.0 + c for c in counts]
-            else:
-                window.record_run(chunk)
-                costs = [pricing] * k
-            accountant.charge_good_batch(costs, "entrance")
+            accountant.charge_good_batch(self._price_run(chunk), "entrance")
             add_batch(issued[i : i + k])
             self._joins_in_iter += k
             self._event_counter += k
@@ -289,32 +273,6 @@ class Ergo(Defense):
         clock._now = times[n - 1]
         return issued
 
-    def _join_batch_per_row(self, times) -> range:
-        """The row-by-row batch body (virtual-quote subclasses)."""
-        clock = self.sim.clock
-        window = self._window
-        charge = self.accountant.charge_good
-        good_join = self.population.good_join
-        goodjest = self.goodjest
-        quote = self.quote_entrance_cost
-        admitted = self.ids.issue_batch(len(times))
-        for t, unique in zip(times, admitted):
-            clock._now = t
-            cost = quote()
-            charge(cost, "entrance")
-            good_join(unique)
-            window.record(t, 1)
-            self._joins_in_iter += 1
-            self._event_counter += 1
-            if goodjest.on_event(t):
-                window.set_width(self._window_width())
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        t, "estimate_update", estimate=goodjest.estimate
-                    )
-            self._maybe_purge(t)
-        return admitted
-
     def process_good_departure_batch(self, times, idents=None) -> None:
         """Batched good departures: whole-run removals between trips.
 
@@ -329,10 +287,10 @@ class Ergo(Defense):
         have seen.  Runs containing anonymous victims fall back to the
         per-row hook to preserve the uniform random draw order.
         """
-        n = len(times)
-        if idents is None or n < 4 or None in idents:
+        if idents is None or None in idents:
             Defense.process_good_departure_batch(self, times, idents)
             return
+        n = len(times)
         clock = self.sim.clock
         goodjest = self.goodjest
         remove_batch = self.population.good.remove_batch
@@ -421,7 +379,7 @@ class Ergo(Defense):
             attempted_total += attempts
             cost_total += batch_cost
             if admitted > 0:
-                self.population.bad_join(admitted, self.now)
+                self.population.bad_join(admitted)
                 self._note_events(joins=admitted)
         return attempted_total, cost_total
 

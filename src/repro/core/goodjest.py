@@ -88,12 +88,6 @@ class GoodJEst:
         return self._estimate
 
     @property
-    def interval_start(self) -> float:
-        if self._interval_start is None:
-            raise RuntimeError("GoodJEst.initialize() was never called")
-        return self._interval_start
-
-    @property
     def intervals(self) -> List[IntervalRecord]:
         """Completed intervals, oldest first."""
         return list(self._intervals)

@@ -5,8 +5,7 @@ inject on the order of 10^6 Sybil joins *per second* against CCom
 (entrance cost 1).  Materializing each Sybil ID as an object would make
 the Figure-8 sweep intractable; but Sybil IDs are interchangeable for
 every quantity the protocols compute (set sizes, symmetric differences,
-purge evictions), so we track them as *cohorts* ``(join_serial,
-join_time, count)``.
+purge evictions), so we track them as *cohorts* ``(join_serial, count)``.
 
 Good IDs stay individual because the ABC model selects the departing
 good ID uniformly at random and session-based traces bind departures to
@@ -54,8 +53,8 @@ class AggregateBadPopulation:
     """Sybil IDs tracked as cohorts of identical members."""
 
     def __init__(self) -> None:
-        #: deque of [serial, join_time, count] cohorts, oldest first
-        self._cohorts: Deque[List[float]] = deque()
+        #: deque of [serial, count] cohorts, oldest first
+        self._cohorts: Deque[List[int]] = deque()
         self._serials = itertools.count(1)
         self._last_serial = 0
         self._total = 0
@@ -79,14 +78,14 @@ class AggregateBadPopulation:
         return new_present + snap.departed
 
     # -- mutation ------------------------------------------------------------
-    def join(self, count: int, now: float) -> None:
+    def join(self, count: int) -> None:
         if count < 0:
             raise ValueError(f"negative join count: {count}")
         if count == 0:
             return
         serial = next(self._serials)
         self._last_serial = serial
-        self._cohorts.append([serial, float(now), count])
+        self._cohorts.append([serial, count])
         self._total += count
 
     def evict_oldest(self, count: int) -> int:
@@ -94,10 +93,10 @@ class AggregateBadPopulation:
         removed = 0
         while count > 0 and self._cohorts:
             cohort = self._cohorts[0]
-            take = min(count, int(cohort[2]))
-            self._apply_eviction(int(cohort[0]), take)
-            cohort[2] -= take
-            if cohort[2] == 0:
+            take = min(count, cohort[1])
+            self._apply_eviction(cohort[0], take)
+            cohort[1] -= take
+            if cohort[1] == 0:
                 self._cohorts.popleft()
             removed += take
             count -= take
@@ -108,10 +107,10 @@ class AggregateBadPopulation:
         removed = 0
         while count > 0 and self._cohorts:
             cohort = self._cohorts[-1]
-            take = min(count, int(cohort[2]))
-            self._apply_eviction(int(cohort[0]), take)
-            cohort[2] -= take
-            if cohort[2] == 0:
+            take = min(count, cohort[1])
+            self._apply_eviction(cohort[0], take)
+            cohort[1] -= take
+            if cohort[1] == 0:
                 self._cohorts.pop()
             removed += take
             count -= take
@@ -179,8 +178,8 @@ class SystemPopulation:
     def random_good(self, rng: np.random.Generator) -> Optional[int]:
         return self.good.random_good(rng)
 
-    def bad_join(self, count: int, now: float) -> None:
-        self.bad.join(count, now)
+    def bad_join(self, count: int) -> None:
+        self.bad.join(count)
 
     # -- queries -------------------------------------------------------------
     @property

@@ -10,8 +10,9 @@ IDs, paying whatever the defense demands.
 Implementations: :class:`repro.core.ergo.Ergo` (and its heuristic
 variants), :class:`repro.baselines.ccom.CCom`,
 :class:`repro.baselines.sybilcontrol.SybilControl`,
-:class:`repro.baselines.remp.Remp`, and the estimation-only harness in
-:mod:`repro.experiments.figure9`.
+:class:`repro.baselines.remp.Remp` (both
+:class:`repro.baselines.recurring.RecurringChallengeDefense`), and the
+estimation-only harness in :mod:`repro.experiments.estimation`.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ class Defense(abc.ABC):
     # The engine hands runs of good-churn rows to these hooks instead of
     # dispatching one event at a time.  Contract:
     #
+    # * Runs are non-empty (the engine never passes an empty one).
     # * ``times`` is non-decreasing and every row precedes the next heap
     #   event, the adversary's wake time, and the next metrics sample --
     #   nothing else happens "inside" a batch.
@@ -209,24 +211,7 @@ class Defense(abc.ABC):
                 clock._now = t
                 depart(ident)
 
-    # -- shared override bodies for flat-cost defenses ------------------
-    def _flat_cost_join_batch(self, times, cost: float) -> range:
-        """Batched joins for defenses whose join is issue/charge/admit.
-
-        Observably equivalent to the default loop for any defense whose
-        ``process_good_join`` charges a flat ``cost`` and does no other
-        bookkeeping (SybilControl, REMP): each row keeps its own
-        timestamp and charge, but idents, charges, and membership go
-        through the whole-run batch APIs (``IdentityFactory.issue_batch``,
-        ``charge_good_batch``, ``ArenaMembershipSet.add_batch``) instead of
-        per-row calls.
-        """
-        k = len(times)
-        uniques = self.ids.issue_batch(k)
-        self.accountant.charge_good_batch([cost] * k, "entrance")
-        self.population.good.add_batch(uniques)
-        return uniques
-
+    # -- shared override body for select-and-remove departures ----------
     def _removal_departure_batch(self, times, idents=None) -> None:
         """Batched departures by direct membership removal.
 
@@ -240,16 +225,6 @@ class Defense(abc.ABC):
         """
         if idents is None:
             Defense.process_good_departure_batch(self, times, idents)
-            return
-        if len(idents) == 1:
-            # Single-departure drains dominate once joins interleave;
-            # skip straight to the membership removal.
-            ident = idents[0]
-            if ident is None:
-                self.sim.clock._now = times[0]
-                self.process_good_departure(None)
-            else:
-                self.population.good.discard(ident)
             return
         if None in idents:
             clock = self.sim.clock

@@ -204,12 +204,6 @@ class FileContext:
         """Innermost function, else the module -- the temp+rename scope."""
         return self.enclosing_function(node) or self.tree
 
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     # -- convenience ---------------------------------------------------
     def violation(
         self, rule: "Rule", node: ast.AST, message: str

@@ -104,7 +104,7 @@ class EstimationHarness(Defense):
         """Zero-cost Sybil joins for the persistent population."""
         if count <= 0:
             return
-        self.population.bad_join(count, self.now)
+        self.population.bad_join(count)
         self._window.record(self.now, count)
         self._after_event(joins=0)
 
@@ -130,7 +130,7 @@ class EstimationHarness(Defense):
             remaining -= cost
             attempted_total += batch
             cost_total += cost
-            self.population.bad_join(batch, self.now)
+            self.population.bad_join(batch)
             self._window.record(self.now, batch)
             # The estimator sees the flood at event granularity (an
             # interval can end while the burst is in the system); the

@@ -127,11 +127,6 @@ class SymmetricDifferenceTracker:
         return joined_since + self._departed
 
     @property
-    def snapshot_size(self) -> int:
-        """Size of the snapshot when it was taken (present + departed)."""
-        return self._snapshot_present + self._departed
-
-    @property
     def joined_since_snapshot(self) -> int:
         """``|S_now − S_snapshot|``: post-snapshot joiners still present."""
         return self._current_size - self._snapshot_present

@@ -21,9 +21,9 @@ with the profiler on or off.  The wall clock feeds only the profile
 report, never a metric.
 
 Span identity is the call *path* ("engine.run;defense.Ergo.join_batch;
-defense.Ergo.price"), so a span invoked under two different parents is
-accounted separately under each and child totals never exceed their
-parent's -- the additivity invariant the tests assert.
+defense.Ergo.price_batch"), so a span invoked under two different
+parents is accounted separately under each and child totals never
+exceed their parent's -- the additivity invariant the tests assert.
 """
 
 from __future__ import annotations
@@ -370,7 +370,6 @@ class SpanProfiler:
         self._shadow(
             defense, "quote_entrance_cost", f"defense.{dname}.price"
         )
-        self._shadow(defense, "estimate", f"defense.{dname}.estimate")
         self._shadow(defense, "_execute_purge", f"defense.{dname}.purge")
         window = getattr(defense, "_window", None)
         if window is not None:

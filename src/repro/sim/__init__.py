@@ -16,14 +16,7 @@ reproduction sits on:
 
 from repro.sim.clock import Clock
 from repro.sim.engine import EventQueue, Simulation, SimulationConfig
-from repro.sim.events import (
-    BadJoin,
-    Event,
-    EventKind,
-    GoodDeparture,
-    GoodJoin,
-    Tick,
-)
+from repro.sim.events import Event, GoodDeparture, GoodJoin
 from repro.sim.metrics import (
     Counter,
     MetricSet,
@@ -36,11 +29,9 @@ from repro.sim.metrics import (
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "BadJoin",
     "Clock",
     "Counter",
     "Event",
-    "EventKind",
     "EventQueue",
     "GoodDeparture",
     "GoodJoin",
@@ -52,6 +43,5 @@ __all__ = [
     "SlidingWindowCounter",
     "SnapshotPolicy",
     "SpendMeter",
-    "Tick",
     "TimeSeries",
 ]

@@ -15,8 +15,8 @@ The driver wires together four roles:
 
 The loop is a classic discrete-event simulation: events are popped in
 ``(time, priority, seq)`` order, the clock advances, the adversary gets a
-chance to act at the new time, and then the event is dispatched.  Regular
-``Tick`` events guarantee the adversary can act even during quiet periods
+chance to act at the new time, and then the event is dispatched.  A
+recurring tick guarantees the adversary can act even during quiet periods
 of the trace.
 
 Hot-path design (this loop runs millions of times per sweep):
@@ -78,7 +78,6 @@ from repro.sim.events import (
     BadDepartureBatch,
     Callback,
     Event,
-    Tick,
 )
 from repro.sim.metrics import MetricSet, MetricsSnapshot, SnapshotPolicy
 from repro.sim.rng import RngRegistry
@@ -88,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.adversary.base import Adversary
     from repro.core.protocol import Defense
 
-#: ``Tick`` events run after any same-time protocol event.
+#: The recurring tick runs after any same-time protocol event.
 TICK_PRIORITY = 10
 
 #: Counter keys that describe *how* events were processed (heap traffic,
@@ -304,7 +303,6 @@ class Simulation:
         self._handlers: dict = {
             BadDeparture: self._handle_bad_departure,
             BadDepartureBatch: self._handle_bad_departure_batch,
-            Tick: self._handle_tick,
             Callback: self._handle_callback,
             _TickMarker: self._handle_tick_marker,
         }
@@ -820,8 +818,8 @@ class Simulation:
         Only one tick is ever resident in the queue: pre-scheduling
         ``horizon / tick_interval`` of them (10,001 heap entries at the
         defaults) made every heap operation pay a log of that bulk.  The
-        resident entry is a shared sentinel, not a fresh ``Tick`` object
-        per fire.
+        resident entry is a shared sentinel, not a fresh event object per
+        fire.
         """
         interval = self.config.tick_interval
         if interval <= 0:
@@ -857,13 +855,6 @@ class Simulation:
         self._bad_departure_events += self.defense.process_bad_departure_batch(
             count
         )
-
-    def _handle_tick(self, event: Tick, now: float) -> None:
-        """Externally pushed ``Tick`` events (tests, custom schedules)."""
-        self.defense.on_tick(now)
-        next_tick = event.time + self.config.tick_interval
-        if next_tick <= self.config.horizon:
-            self.queue.push(Tick(time=next_tick), priority=TICK_PRIORITY)
 
     def _handle_tick_marker(self, marker: _TickMarker, now: float) -> None:
         self.defense.on_tick(now)

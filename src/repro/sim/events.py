@@ -7,29 +7,14 @@ its scheduled time; the engine orders them by ``(time, priority, seq)``.
 The ABC model (Section 2.1.1 of the paper) assumes every join/departure
 occurs at a unique point in time, with ties broken by the server.  The
 engine's ``seq`` counter provides exactly that deterministic tie-break.
-
-``kind`` is a class-level type tag (not a property): the engine routes
-events through a handler table keyed on the event class, and metrics /
-logging code reads ``event.kind`` in hot paths, so the tag must cost a
-plain attribute lookup.
+The engine routes events through a handler table keyed on the event
+class.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
-
-
-class EventKind(enum.Enum):
-    """Discriminator for the event classes (useful for metrics/logging)."""
-
-    GOOD_JOIN = "good_join"
-    GOOD_DEPARTURE = "good_departure"
-    BAD_JOIN = "bad_join"
-    BAD_DEPARTURE = "bad_departure"
-    TICK = "tick"
-    CALLBACK = "callback"
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -37,18 +22,6 @@ class Event:
     """Base class for all simulation events."""
 
     time: float
-
-    #: Type tag; every concrete subclass overrides this.
-    kind: ClassVar[Optional[EventKind]] = None
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        # Fail at class-definition time rather than letting a tagless
-        # event slip through kind-based filters (e.g. trace queries).
-        super().__init_subclass__(**kwargs)
-        if cls.__dict__.get("kind", cls.kind) is None:
-            raise TypeError(
-                f"event class {cls.__name__} must define a 'kind' type tag"
-            )
 
 
 @dataclass(frozen=True)
@@ -67,8 +40,6 @@ class GoodJoin(Event):
     ident: Optional[str] = None
     session: Optional[float] = None
 
-    kind: ClassVar[EventKind] = EventKind.GOOD_JOIN
-
 
 @dataclass(frozen=True)
 class GoodDeparture(Event):
@@ -84,25 +55,12 @@ class GoodDeparture(Event):
 
     ident: Optional[str] = None
 
-    kind: ClassVar[EventKind] = EventKind.GOOD_DEPARTURE
-
-
-@dataclass(frozen=True)
-class BadJoin(Event):
-    """The adversary injects a Sybil ID (it must pay the entrance cost)."""
-
-    ident: Optional[str] = None
-
-    kind: ClassVar[EventKind] = EventKind.BAD_JOIN
-
 
 @dataclass(frozen=True)
 class BadDeparture(Event):
     """The adversary withdraws one of its IDs (it picks which)."""
 
     ident: str = ""
-
-    kind: ClassVar[EventKind] = EventKind.BAD_DEPARTURE
 
 
 @dataclass(frozen=True)
@@ -131,15 +89,6 @@ class BadDepartureBatch(Event):
     #: of a precomputed count (``None`` = use ``count``)
     drain_fraction: Optional[float] = None
 
-    kind: ClassVar[EventKind] = EventKind.BAD_DEPARTURE
-
-
-@dataclass(frozen=True)
-class Tick(Event):
-    """A periodic opportunity for adversary/defense housekeeping."""
-
-    kind: ClassVar[EventKind] = EventKind.TICK
-
 
 @dataclass(frozen=True)
 class Callback(Event):
@@ -151,5 +100,3 @@ class Callback(Event):
 
     fn: Callable[[float], None] = field(default=lambda _t: None)
     label: str = ""
-
-    kind: ClassVar[EventKind] = EventKind.CALLBACK

@@ -50,6 +50,6 @@ class NullDefense(Defense):
     def process_bad_join_batch(self, budget: float) -> Tuple[int, float]:
         joins = int(budget)
         if joins:
-            self.population.bad.join(joins, self.now)
+            self.population.bad.join(joins)
             self.accountant.charge_adversary(float(joins), category="entrance")
         return joins, float(joins)

@@ -122,12 +122,6 @@ class TraceSource:
             return PACKAGED_DATA_DIR / self.packaged
         return trace_cache_dir() / self.cache_filename()
 
-    def is_available(self) -> bool:
-        """Resolvable right now, without fetching anything?"""
-        if self.synthetic is not None:
-            return True  # generated on demand, offline
-        return self.cached_path().exists()
-
 
 # ----------------------------------------------------------------------
 # registry

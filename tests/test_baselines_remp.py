@@ -20,7 +20,7 @@ def test_recurring_rate_formula():
     """L/W = T_max/(κN) -- Equation 13's per-ID rate."""
     defense = Remp(t_max=1.0e6, kappa=1 / 18)
     defense.population.good_join(1)
-    defense.population.bad_join(1, now=0.0)
+    defense.population.bad_join(1)
     assert defense.recurring_cost_rate_per_id() == pytest.approx(1.0e6 * 18 / 2)
 
 

@@ -39,7 +39,7 @@ def test_unfunded_sybils_evicted_each_cycle():
     )
     defense.process_bad_join_batch(budget=100.0)
     assert defense.population.bad_count == 100
-    defense._test_cycle(defense.now)  # no adversary to fund them
+    defense._recurring_cycle(defense.now)  # no adversary to fund them
     assert defense.population.bad_count == 0
 
 

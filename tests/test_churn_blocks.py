@@ -10,7 +10,7 @@ from repro.churn.generators import (
 )
 from repro.churn.sessions import ExponentialSessions, sample_session_array
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock, blocks_from_events
-from repro.sim.events import GoodDeparture, GoodJoin, Tick
+from repro.sim.events import Callback, GoodDeparture, GoodJoin
 from tests.reference_sim import expand_churn
 
 
@@ -44,8 +44,8 @@ class TestChurnBlock:
             ChurnBlock([1.0], [7])
 
     def test_rejects_foreign_event_types(self):
-        with pytest.raises(TypeError, match="Tick"):
-            ChurnBlock.from_events([Tick(time=1.0)])
+        with pytest.raises(TypeError, match="Callback"):
+            ChurnBlock.from_events([Callback(time=1.0)])
 
     def test_anonymous_rows_have_no_ident_list(self):
         block = ChurnBlock.from_events([GoodJoin(time=1.0), GoodJoin(time=2.0)])

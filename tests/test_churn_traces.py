@@ -158,10 +158,10 @@ class TestCsvRoundTrip:
         assert loaded[0].session is None
 
     def test_unknown_event_type_rejected(self, tmp_path):
-        from repro.sim.events import Tick
+        from repro.sim.events import Callback
 
         with pytest.raises(TypeError):
-            save_trace_csv(tmp_path / "t.csv", [Tick(time=0.0)])
+            save_trace_csv(tmp_path / "t.csv", [Callback(time=0.0)])
 
 
 class TestBlockModeCsvRoundTrip:

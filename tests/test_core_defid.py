@@ -10,7 +10,7 @@ def make_population(good: int, bad: int) -> SystemPopulation:
     population = SystemPopulation()
     for ident in range(1, good + 1):
         population.good_join(ident)
-    population.bad_join(bad, now=0.0)
+    population.bad_join(bad)
     return population
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tests.helpers import run_small_sim
@@ -10,8 +11,10 @@ from repro.adversary.strategies import (
     GreedyJoinAdversary,
     PurgeSurvivorAdversary,
 )
+from repro.baselines.ccom import CCom
 from repro.churn.traces import InitialMember
 from repro.core.ergo import Ergo, ErgoConfig
+from repro.core.heuristics import ergo_ch1
 from repro.sim.engine import Simulation, SimulationConfig
 from repro.sim.events import GoodJoin
 
@@ -244,3 +247,109 @@ class TestWindowWidening:
         assert defense._window.max_width == defense.config.max_window_width
         # The operating width never exceeds the cap 1/J̃ is clamped to.
         assert defense._window.width <= defense.config.max_window_width
+
+
+class TestShortBatchRuns:
+    """Runs of 1-5 rows through the chunked batch bodies match the per-ID
+    hooks, with purge and GoodJEst trips landing inside the runs.
+
+    One twin takes each run through ``process_good_join_batch`` /
+    ``process_good_departure_batch``; the other takes it row by row
+    through the per-ID hooks with the clock set at each row.  The
+    engine-vs-oracle suite reaches these short-run trips only by
+    chance, and never with ERGO-CH1's symdiff trigger and deferred
+    estimate.
+    """
+
+    N0 = 44
+    RUNS = 240
+
+    @staticmethod
+    def _twin(factory, n0):
+        defense = factory()
+        sim = Simulation(
+            SimulationConfig(horizon=1.0),
+            defense,
+            [],
+            initial_members=[InitialMember(ident=f"i{k}") for k in range(n0)],
+        )
+        sim.run()
+        return sim, defense
+
+    @staticmethod
+    def _state(sim, defense):
+        return (
+            sim.metrics.good.by_category(),
+            defense.population.good.good_ids(),
+            defense.purge_count,
+            defense.iteration_count,
+            defense.goodjest.estimate,
+            len(defense.goodjest.intervals),
+            defense.goodjest.has_pending_update,
+            defense._window.count(sim.clock.now),
+            defense._event_counter,
+            defense._joins_in_iter,
+            defense.peak_bad_fraction,
+            sim.clock.now,
+        )
+
+    @staticmethod
+    def _trips(defense):
+        return (
+            defense.iteration_count,
+            len(defense.goodjest.intervals) + defense.goodjest.has_pending_update,
+        )
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "factory", [Ergo, CCom, ergo_ch1], ids=["ergo", "ccom", "ergo-ch1"]
+    )
+    def test_batch_runs_match_per_id_hooks(self, factory, length):
+        batch_sim, batched = self._twin(factory, self.N0)
+        row_sim, per_id = self._twin(factory, self.N0)
+        rng = np.random.default_rng(1000 + length)
+        t = batch_sim.clock.now
+        # Trips seen at each row offset of a run: [purge, estimate].
+        trips_at = [[0, 0] for _ in range(length)]
+        for _ in range(self.RUNS):
+            times = []
+            for _row in range(length):
+                if rng.random() >= 0.2:  # else a same-instant row
+                    t += float(rng.exponential(0.01))
+                times.append(t)
+            good = batched.population.good.good_ids()
+            join = len(good) < self.N0 // 2 or rng.random() < 0.5
+            if join:
+                issued = list(batched.process_good_join_batch(list(times)))
+            else:
+                # Named victims, sometimes one already gone (ident 0: a no-op).
+                victims = [
+                    int(good[rng.integers(len(good))])
+                    if rng.random() >= 0.1
+                    else 0
+                    for _row in range(length)
+                ]
+                batched.process_good_departure_batch(list(times), victims)
+            admitted = []
+            before = self._trips(per_id)
+            for row, when in enumerate(times):
+                row_sim.clock._now = when
+                if join:
+                    admitted.append(per_id.process_good_join(None))
+                else:
+                    per_id.process_good_departure(victims[row])
+                after = self._trips(per_id)
+                for k in (0, 1):
+                    trips_at[row][k] += after[k] != before[k]
+                before = after
+            if join:
+                assert issued == admitted
+            assert self._state(batch_sim, batched) == self._state(
+                row_sim, per_id
+            )
+        # The schedule trips both rules at every row offset, interior
+        # rows of multi-row runs included.
+        for row in range(length):
+            purges, estimates = trips_at[row]
+            assert purges >= 3, (row, trips_at)
+            assert estimates >= 3, (row, trips_at)

@@ -110,7 +110,7 @@ def test_bad_joins_move_the_interval_too():
     population = make_population(n0=24)
     estimator = GoodJEst(population)
     estimator.initialize(now=0.0)
-    population.bad_join(18, now=1.0)
+    population.bad_join(18)
     assert estimator.on_event(1.0) is True
 
 
@@ -119,12 +119,12 @@ def test_purged_bad_ids_cancel_out():
     population = make_population(n0=24)
     estimator = GoodJEst(population)
     estimator.initialize(now=0.0)
-    population.bad_join(17, now=1.0)  # 17 < (5/12)*41 = 17.08: no update
+    population.bad_join(17)  # 17 < (5/12)*41 = 17.08: no update
     assert estimator.on_event(1.0) is False
     population.bad.evict_all()
     assert estimator.on_event(1.5) is False
     # The symmetric difference is back to zero; more headroom now.
-    population.bad_join(10, now=2.0)
+    population.bad_join(10)
     assert estimator.on_event(2.0) is False
 
 
@@ -133,7 +133,7 @@ def test_deferred_mode_waits_for_apply(rng=None):
     estimator = GoodJEst(population, defer_updates=True)
     estimator.initialize(now=0.0)
     old = estimator.estimate
-    population.bad_join(18, now=1.0)
+    population.bad_join(18)
     assert estimator.on_event(1.0) is True  # pending
     assert estimator.has_pending_update
     assert estimator.estimate == old  # not yet applied
@@ -154,7 +154,7 @@ def test_zero_length_interval_guarded():
     population = make_population(n0=24)
     estimator = GoodJEst(population, min_interval_length=1e-9)
     estimator.initialize(now=0.0)
-    population.bad_join(18, now=0.0)  # same instant as initialization
+    population.bad_join(18)  # same instant as initialization
     estimator.on_event(0.0)
     assert estimator.estimate > 0
     assert estimator.estimate < float("inf")
@@ -191,7 +191,7 @@ class TestTripDistances:
         population = make_population(n0=12)
         estimator = GoodJEst(population, defer_updates=True)
         estimator.initialize(now=0.0)
-        population.bad_join(10, now=0.5)
+        population.bad_join(10)
         estimator.on_event(0.5)  # becomes pending
         assert estimator.has_pending_update
         assert estimator.joins_until_update() > 1 << 60

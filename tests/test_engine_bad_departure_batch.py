@@ -62,7 +62,7 @@ class TestBatchEvent:
         defense = Ergo(ErgoConfig())
         sim = _sim(defense)
         defense.bootstrap([f"g{i}" for i in range(100)])
-        defense.population.bad_join(500, 0.0)
+        defense.population.bad_join(500)
         sim.queue.push(BadDepartureBatch(time=5.0, count=400))
         result = sim.run()
         assert result.counters["bad_departure_events"] <= 400
@@ -88,7 +88,7 @@ class TestDefenseBatchHook:
             defense.bootstrap([f"g{i}" for i in range(30)])
             # Seed the aggregate Sybil population directly (flooding
             # through pricing would trigger purges and drain it again).
-            defense.population.bad_join(8, 0.0)
+            defense.population.bad_join(8)
         standing = batch.bad_count()
         assert standing == loop.bad_count() == 8
         k = standing - 1
@@ -108,7 +108,7 @@ class TestDefenseBatchHook:
         defense = Ergo(ErgoConfig())
         _sim(defense)
         defense.bootstrap(["a", "b"])
-        defense.population.bad_join(3, 0.0)
+        defense.population.bad_join(3)
         standing = defense.bad_count()
         assert standing > 0
         removed = defense.process_bad_departure_batch(100)

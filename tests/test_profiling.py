@@ -170,7 +170,7 @@ class TestReportInvariants:
         assert "engine.heap_pop" in spans
         assert any(s.startswith("defense.Ergo.") for s in spans)
         # pricing/membership internals nest under the defense hooks
-        assert "defense.Ergo.price" in spans
+        assert "defense.Ergo.price_batch" in spans
         assert "membership.add" in spans
 
     def test_coarse_granularity_drops_per_op_spans(self):

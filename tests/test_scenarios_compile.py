@@ -149,7 +149,7 @@ class TestSybilExodusStaging:
             defense,
             [],
         )
-        defense.population.bad_join(100, 0.0)
+        defense.population.bad_join(100)
         remaining = []
         for i, t in enumerate((1.0, 2.0, 3.0, 4.0)):
             sim.queue.push(

@@ -8,7 +8,7 @@ from repro.core.protocol import Defense
 from repro.identity.membership import ArenaMembershipSet
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock
 from repro.sim.engine import EventQueue, Simulation, SimulationConfig
-from repro.sim.events import Callback, GoodDeparture, GoodJoin, Tick
+from repro.sim.events import Callback, GoodDeparture, GoodJoin
 from repro.churn.traces import InitialMember
 
 
@@ -50,9 +50,9 @@ class RecordingDefense(Defense):
 class TestEventQueue:
     def test_orders_by_time(self):
         queue = EventQueue()
-        queue.push(Tick(time=5.0))
-        queue.push(Tick(time=1.0))
-        queue.push(Tick(time=3.0))
+        queue.push(Callback(time=5.0))
+        queue.push(Callback(time=1.0))
+        queue.push(Callback(time=3.0))
         times = [queue.pop().time for _ in range(3)]
         assert times == [1.0, 3.0, 5.0]
 
@@ -71,7 +71,7 @@ class TestEventQueue:
     def test_peek_time(self):
         queue = EventQueue()
         assert queue.peek_time() is None
-        queue.push(Tick(time=2.0))
+        queue.push(Callback(time=2.0))
         assert queue.peek_time() == 2.0
         assert len(queue) == 1
 
@@ -235,7 +235,7 @@ def test_arena_rejects_an_ident_that_is_not_new():
 
 
 class TestLazyTicks:
-    """One recurring Tick is re-armed instead of pre-scheduling them all."""
+    """One recurring tick is re-armed instead of pre-scheduling them all."""
 
     def _run(self, horizon=1000.0, tick=1.0, events=()):
         defense = RecordingDefense()

@@ -1,23 +1,6 @@
 """Tests for the event vocabulary."""
 
-from repro.sim.events import (
-    BadDeparture,
-    BadJoin,
-    Callback,
-    EventKind,
-    GoodDeparture,
-    GoodJoin,
-    Tick,
-)
-
-
-def test_kinds_discriminate():
-    assert GoodJoin(time=0.0).kind is EventKind.GOOD_JOIN
-    assert GoodDeparture(time=0.0).kind is EventKind.GOOD_DEPARTURE
-    assert BadJoin(time=0.0).kind is EventKind.BAD_JOIN
-    assert BadDeparture(time=0.0, ident="b").kind is EventKind.BAD_DEPARTURE
-    assert Tick(time=0.0).kind is EventKind.TICK
-    assert Callback(time=0.0).kind is EventKind.CALLBACK
+from repro.sim.events import Callback, GoodJoin
 
 
 def test_events_are_frozen():
