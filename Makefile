@@ -83,15 +83,16 @@ traces-smoke:
 	$(call no-traceback,$(PYTHON) -m repro scenarios run consensus-flap tor-relay-replay --quick --jobs 2)
 
 # Cost-attribution smoke: profile the acceptance point (flash-crowd
-# under ERGO), prove byte-identical metrics with profiling off
-# (--check), and write a schema-validated speedscope export.  Exits
-# nonzero if any span table is empty, the export fails validation, or
-# any metric diverges.
+# under ERGO) and a baseline (SybilControl), prove byte-identical
+# metrics with profiling off (--check), and write a schema-validated
+# speedscope export.  Exits nonzero if any span table is empty, the
+# export fails validation, any metric diverges, or a traceback reaches
+# stderr.
 profile-smoke:
-	$(PYTHON) -m repro profile flash-crowd --defense ergo --quick --check \
+	$(call no-traceback,$(PYTHON) -m repro profile flash-crowd --defense ergo --quick --check \
 		--json results/profile_smoke.json \
-		--speedscope results/profile_smoke.speedscope.json
-	$(PYTHON) -m repro profile flash-crowd --defense sybilcontrol --quick --coarse
+		--speedscope results/profile_smoke.speedscope.json)
+	$(call no-traceback,$(PYTHON) -m repro profile flash-crowd --defense sybilcontrol --quick --check --top 10)
 
 # Repository-benchmark smoke: a 1 s flash-xl run and a 1 s traced
 # trace-replay run at seed 7.  Seed 7 has no recorded digests, so this

@@ -16,8 +16,6 @@ Options:
     --t-rate T       override the scenario's adversary spend rate
     --n0-scale X     scale initial populations (default 1.0)
     --quick          preset: --n0-scale 0.25 (the CI smoke scale)
-    --coarse         batch-level spans only (skip per-event and heap
-                     primitive attribution)
     --top N          print only the N hottest spans (default: all)
     --json PATH      write the full report (``ProfileReport.as_dict``)
     --speedscope PATH
@@ -28,9 +26,10 @@ Options:
                      byte-identical -- the profiler's zero-interference
                      contract, checked end to end
 
-Profiling never changes metrics: the engine binds timed wrappers at
-run() setup only, so the simulated system sees the exact same calls in
-the exact same order.  ``--check`` proves it on the spot.
+Profiling never changes metrics: the profiler shadows the simulation's
+seams with timed wrappers before it runs, so the simulated system sees
+the exact same calls in the exact same order.  ``--check`` proves it
+on the spot.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import List, Optional
 
 from repro.cliutil import pop_number as _pop_number, pop_option as _pop_option
 from repro.experiments.parallel import derive_seed
-from repro.profiling.core import ProfilePolicy, ProfileReport
+from repro.profiling.core import ProfileReport
 from repro.profiling.speedscope import to_speedscope, validate_speedscope
 from repro.resilience import atomic_write_text
 from repro.scenarios.run import (
@@ -73,7 +72,6 @@ def profile_point(
     seed: int = 2021,
     t_rate: Optional[float] = None,
     n0_scale: float = 1.0,
-    granularity: str = "default",
 ) -> dict:
     """Run one profiled (scenario, defense) point; returns the row.
 
@@ -92,9 +90,7 @@ def profile_point(
         t_rate=rate,
         n0_scale=n0_scale,
     )
-    return run_spec_point(
-        spec, point, profile=ProfilePolicy(granularity=granularity)
-    )
+    return run_spec_point(spec, point, profile=True)
 
 
 def check_identical(row: dict) -> List[str]:
@@ -139,14 +135,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     speedscope_path = _pop_option(args, "--speedscope")
     quick = "--quick" in args
     args = [a for a in args if a != "--quick"]
-    coarse = "--coarse" in args
-    args = [a for a in args if a != "--coarse"]
     check = "--check" in args
     args = [a for a in args if a != "--check"]
     names = [a for a in args if not a.startswith("--")]
     unknown_flags = [a for a in args if a.startswith("--")]
     if unknown_flags:
         raise SystemExit(f"unknown option(s): {', '.join(unknown_flags)}")
+    if top is not None and top < 1:
+        raise SystemExit(f"--top must be >= 1, got {top}")
+    if n0_scale is not None and n0_scale <= 0:
+        raise SystemExit(f"--n0-scale must be > 0, got {n0_scale:g}")
     if len(names) != 1:
         raise SystemExit(
             "profile takes exactly one scenario "
@@ -167,7 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=2021 if seed is None else seed,
         t_rate=t_rate,
         n0_scale=n0_scale,
-        granularity="coarse" if coarse else "default",
     )
     report = ProfileReport.from_dict(row["profile"])
     if not report.rows:

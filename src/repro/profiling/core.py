@@ -4,15 +4,17 @@ The engine's hot loop interleaves half a dozen subsystems -- the
 zero-heap block fast path, heap scheduling, defense hooks, membership
 mutation, sampling, snapshot emission -- and a run's wall time alone
 cannot say which of them it went to.  This module attributes that
-wall clock: a :class:`SpanProfiler` wraps the loop's stable seams once
-per ``run()`` call and accumulates per-span wall time, call counts and
-event counts into a flat :class:`ProfileReport`.
+wall clock from outside the engine: :meth:`SpanProfiler.instrument`
+shadows one simulation's seams with timed instance attributes before
+it runs, and the wrappers accumulate per-span wall time, call counts
+and event counts into a flat :class:`ProfileReport`.
 
-Disabled-path contract (the bar the snapshot hook set): when
-``SimulationConfig.profile`` is ``None`` the engine binds the *raw*
-callables and pays nothing new per iteration -- the loop's only
-recurring conditional work remains the snapshot hook's two float
-compares.  All wrapping happens in one setup branch before the loop.
+Off-path contract: the engine contains no profiling code.  It binds
+its seams once per ``run()`` from instance attributes, so an
+uninstrumented simulation runs the raw callables, and ``instrument``
+touches only that one simulation's instances -- never a class or a
+module -- so unprofiled runs sharing the process (the service's job
+threads) are unaffected.
 
 Determinism contract: wrappers time and count, and never touch the
 wrapped call's arguments, return value, or any RNG stream, so the
@@ -29,33 +31,10 @@ exceed their parent's -- the additivity invariant the tests assert.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 #: Path separator between parent and child span names.
 SEP = ";"
-
-#: Accepted :attr:`ProfilePolicy.granularity` values.  ``"default"``
-#: instruments everything, including the per-operation heap spans and
-#: the defense's internal pricing/membership seams; ``"coarse"`` keeps
-#: only the batch-level seams (handlers, batch hooks, sampling,
-#: snapshots) for a cheaper enabled-mode run.
-GRANULARITIES = ("coarse", "default")
-
-
-@dataclass(frozen=True)
-class ProfilePolicy:
-    """How much of the engine to instrument (validated at creation)."""
-
-    granularity: str = "default"
-
-    def __post_init__(self) -> None:
-        if self.granularity not in GRANULARITIES:
-            known = ", ".join(GRANULARITIES)
-            raise ValueError(
-                f"unknown profile granularity {self.granularity!r}; "
-                f"choose from: {known}"
-            )
 
 
 class ProfileRow(NamedTuple):
@@ -165,16 +144,12 @@ class SpanProfiler:
     Nodes live in a flat dict keyed by path; a small explicit stack
     tracks the current path so a child's time is (a) accounted under
     the parent it actually ran under and (b) subtracted from that
-    parent's self-time.  Wrapping is idempotent per object (see
-    :meth:`instrument_defense`) and purely observational.
+    parent's self-time.  Every frame belongs to a :meth:`wrap` call and
+    is popped in its ``finally``, so a run that raises leaves the stack
+    empty and the books balanced.
     """
 
-    def __init__(
-        self,
-        policy: Optional[ProfilePolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.policy = policy if policy is not None else ProfilePolicy()
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         if clock is None:
             # Wall clock feeds only the profile report, never a metric
             # (the profiling on/off byte-identity tests prove it).
@@ -182,64 +157,32 @@ class SpanProfiler:
         self._clk = clock
         #: path -> [total_s, calls, events, child_s]
         self._acc: Dict[str, List] = {}
-        #: frames: [path, child_s] (wrappers) or [path, child_s, start]
-        #: (explicit begin/end)
+        #: open frames, innermost last: [path, child_s]
         self._stack: List[List] = []
-        self._instrumented: set = set()
 
-    # ------------------------------------------------------------------
-    # accounting primitives
-    # ------------------------------------------------------------------
-    @property
-    def deep(self) -> bool:
-        """Default granularity: per-op heap + defense-internal spans."""
-        return self.policy.granularity == "default"
+    def wrap(self, name: str, fn: Callable, rows: bool = False) -> Callable:
+        """Time every call to ``fn`` as a span named ``name``.
 
-    def _node(self, path: str) -> List:
-        node = self._acc.get(path)
-        if node is None:
-            node = self._acc[path] = [0.0, 0, 0, 0.0]
-        return node
-
-    def begin(self, name: str) -> None:
-        """Open a span explicitly (the engine's root ``engine.run``)."""
-        stack = self._stack
-        pkey = stack[-1][0] if stack else ""
-        path = pkey + SEP + name if pkey else name
-        stack.append([path, 0.0, self._clk()])
-
-    def end(self) -> None:
-        """Close the innermost explicitly opened span."""
-        frame = self._stack.pop()
-        dt = self._clk() - frame[2]
-        node = self._node(frame[0])
-        node[0] += dt
-        node[1] += 1
-        node[3] += frame[1]
-        if self._stack:
-            self._stack[-1][1] += dt
-
-    def wrap(self, name: str, fn: Callable) -> Callable:
-        """Time every call to ``fn`` as a span named ``name``."""
+        Each call counts one event, or ``len(args[0])`` events -- the
+        rows of the batch it was handed -- when ``rows`` is set.
+        """
         clk = self._clk
         stack = self._stack
         acc = self._acc
-        paths: Dict[str, List] = {}  # parent path -> cached node
+        paths: Dict[str, List] = {}  # parent path -> [path, node]
 
         def timed(*args, **kwargs):
             parent = stack[-1] if stack else None
             pkey = parent[0] if parent is not None else ""
-            node = paths.get(pkey)
-            if node is None:
+            hit = paths.get(pkey)
+            if hit is None:
                 path = pkey + SEP + name if pkey else name
                 node = acc.get(path)
                 if node is None:
                     node = acc[path] = [0.0, 0, 0, 0.0]
-                paths[pkey] = node
-                frame_path = path
-            else:
-                frame_path = pkey + SEP + name if pkey else name
-            frame = [frame_path, 0.0]
+                hit = paths[pkey] = [path, node]
+            node = hit[1]
+            frame = [hit[0], 0.0]
             stack.append(frame)
             t0 = clk()
             try:
@@ -249,173 +192,85 @@ class SpanProfiler:
                 stack.pop()
                 node[0] += dt
                 node[1] += 1
-                node[2] += 1
+                node[2] += len(args[0]) if rows else 1
                 node[3] += frame[1]
                 if parent is not None:
                     parent[1] += dt
 
         return timed
 
-    def wrap_batch(self, name: str, fn: Callable) -> Callable:
-        """Like :meth:`wrap`, counting ``len(args[0])`` rows as events."""
-        clk = self._clk
-        stack = self._stack
-        acc = self._acc
-        paths: Dict[str, List] = {}
+    def instrument(self, sim) -> None:
+        """Shadow one simulation's seams with timed instance attributes.
 
-        def timed(*args, **kwargs):
-            parent = stack[-1] if stack else None
-            pkey = parent[0] if parent is not None else ""
-            node = paths.get(pkey)
-            path = pkey + SEP + name if pkey else name
-            if node is None:
-                node = acc.get(path)
-                if node is None:
-                    node = acc[path] = [0.0, 0, 0, 0.0]
-                paths[pkey] = node
-            frame = [path, 0.0]
-            stack.append(frame)
-            t0 = clk()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                dt = clk() - t0
-                stack.pop()
-                node[0] += dt
-                node[1] += 1
-                if args and hasattr(args[0], "__len__"):
-                    node[2] += len(args[0])
-                else:
-                    node[2] += 1
-                node[3] += frame[1]
-                if parent is not None:
-                    parent[1] += dt
-
-        return timed
-
-    def wrap_leaf(self, name: str, fn: Callable) -> Callable:
-        """Time a childless hot-path callable (heap ops): no stack push.
-
-        The wrapped callable must never invoke another wrapped seam --
-        heapq primitives qualify.  Skipping the stack push keeps the
-        enabled-mode cost of a per-operation span to two clock reads.
+        Call once, before ``sim.run()``.  ``engine.run`` is the root
+        span; the loop's seams, heap primitives, event handlers and the
+        adversary's ``act`` nest under it.  The defense's hooks and
+        internals are shadowed once ``sim._bootstrap`` has run, because
+        a defense may build them there (Ergo's pricing window comes
+        from ``after_bootstrap``); the one-shot bootstrap wrapper then
+        removes itself, so a re-entered ``run()`` wraps nothing twice.
+        Hooks a defense lacks are skipped, so Null and the baselines
+        instrument as well as Ergo.
         """
-        clk = self._clk
-        stack = self._stack
-        acc = self._acc
-        paths: Dict[str, List] = {}
+        wrap = self.wrap
+        shadow = self._shadow
+        shadow(sim, "run", "engine.run")
+        shadow(sim, "_load_next_block", "engine.block_load")
+        shadow(sim, "_sample_now", "engine.sample")
+        shadow(sim, "_emit_snapshot", "engine.snapshot")
+        push, pop, drain = sim._heap_ops
+        sim._heap_ops = (
+            wrap("engine.heap_push", push),
+            wrap("engine.heap_pop", pop),
+            wrap("engine.heap_drain", drain),
+        )
+        sim._handlers = {
+            cls: wrap(f"engine.handle.{cls.__name__}", handler)
+            for cls, handler in sim._handlers.items()
+        }
+        if sim.adversary is not None:
+            shadow(sim.adversary, "act", "adversary.act")
+        bootstrap = sim._bootstrap
 
-        def timed(*args):
-            parent = stack[-1] if stack else None
-            pkey = parent[0] if parent is not None else ""
-            node = paths.get(pkey)
-            if node is None:
-                path = pkey + SEP + name if pkey else name
-                node = acc.get(path)
-                if node is None:
-                    node = acc[path] = [0.0, 0, 0, 0.0]
-                paths[pkey] = node
-            t0 = clk()
-            try:
-                return fn(*args)
-            finally:
-                dt = clk() - t0
-                node[0] += dt
-                node[1] += 1
-                node[2] += 1
-                if parent is not None:
-                    parent[1] += dt
-
-        return timed
-
-    # ------------------------------------------------------------------
-    # defense instrumentation
-    # ------------------------------------------------------------------
-    def instrument_defense(self, defense) -> None:
-        """Shadow a defense's hook methods with timed instance attrs.
-
-        Idempotent per object (``run()`` may be re-entered on the same
-        simulation).  Everything is duck-typed: hooks a defense lacks
-        are skipped, so Null and the baselines instrument as well as
-        Ergo.  At default granularity the defense's internal seams --
-        membership batch mutators and Ergo's pricing/estimation/purge --
-        are shadowed too, nesting under whichever hook invoked them.
-        """
-        if id(defense) in self._instrumented:
-            return
-        self._instrumented.add(id(defense))
-        dname = type(defense).__name__
-        self._shadow(
-            defense, "process_good_join_batch",
-            f"defense.{dname}.join_batch", batch=True,
-        )
-        self._shadow(
-            defense, "process_good_departure_batch",
-            f"defense.{dname}.departure_batch", batch=True,
-        )
-        self._shadow(defense, "on_tick", f"defense.{dname}.on_tick")
-        self._shadow(
-            defense, "process_bad_join_batch", f"defense.{dname}.bad_joins"
-        )
-        self._shadow(
-            defense, "process_bad_departure_batch",
-            f"defense.{dname}.bad_departures",
-        )
-        if not self.deep:
-            return
-        self._shadow(defense, "process_good_join", f"defense.{dname}.join")
-        self._shadow(
-            defense, "process_good_departure", f"defense.{dname}.departure"
-        )
-        self._shadow(
-            defense, "quote_entrance_cost", f"defense.{dname}.price"
-        )
-        self._shadow(defense, "_execute_purge", f"defense.{dname}.purge")
-        window = getattr(defense, "_window", None)
-        if window is not None:
-            self._shadow(
-                window, "quote_record_run",
-                f"defense.{dname}.price_batch", batch=True,
+        def bootstrap_then_instrument_defense() -> None:
+            del sim._bootstrap
+            bootstrap()
+            defense = sim.defense
+            span = f"defense.{type(defense).__name__}."
+            shadow(defense, "process_good_join_batch", span + "join_batch", True)
+            shadow(
+                defense, "process_good_departure_batch",
+                span + "departure_batch", True,
             )
-        population = getattr(defense, "population", None)
-        membership = getattr(population, "good", None)
-        if membership is not None:
-            self._shadow(
-                membership, "add_batch", "membership.add_batch", batch=True
-            )
-            self._shadow(
-                membership, "remove_batch",
-                "membership.remove_batch", batch=True,
-            )
-            self._shadow(membership, "add", "membership.add")
-            self._shadow(membership, "discard", "membership.discard")
+            shadow(defense, "on_tick", span + "on_tick")
+            shadow(defense, "process_bad_join_batch", span + "bad_joins")
+            shadow(defense, "process_bad_departure_batch", span + "bad_departures")
+            shadow(defense, "process_good_join", span + "join")
+            shadow(defense, "process_good_departure", span + "departure")
+            shadow(defense, "quote_entrance_cost", span + "price")
+            shadow(defense, "_execute_purge", span + "purge")
+            window = getattr(defense, "_window", None)
+            if window is not None:
+                shadow(window, "quote_record_run", span + "price_batch", True)
+            membership = getattr(getattr(defense, "population", None), "good", None)
+            if membership is not None:
+                shadow(membership, "add_batch", "membership.add_batch", True)
+                shadow(membership, "remove_batch", "membership.remove_batch", True)
+                shadow(membership, "add", "membership.add")
+                shadow(membership, "discard", "membership.discard")
 
-    def _shadow(self, obj, attr: str, span: str, batch: bool = False) -> None:
+        sim._bootstrap = bootstrap_then_instrument_defense
+
+    def _shadow(self, obj, attr: str, span: str, rows: bool = False) -> None:
         fn = getattr(obj, attr, None)
-        if fn is None or not callable(fn):
-            return
-        wrapped = self.wrap_batch(span, fn) if batch else self.wrap(span, fn)
-        try:
-            setattr(obj, attr, wrapped)
-        except AttributeError:
-            # __slots__ without the attr: leave the seam uninstrumented.
-            pass
+        if callable(fn):
+            setattr(obj, attr, self.wrap(span, fn, rows))
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def report(self) -> ProfileReport:
-        """Snapshot the accumulated spans as a :class:`ProfileReport`.
-
-        Explicit frames left open by an exception inside ``run()`` are
-        closed here so partial profiles still satisfy additivity.
-        """
-        while self._stack:
-            frame = self._stack[-1]
-            if len(frame) < 3:
-                self._stack.pop()
-                continue
-            self.end()
+        """Snapshot the accumulated spans as a :class:`ProfileReport`."""
         rows = []
         for path in sorted(self._acc):
             total, calls, events, child = self._acc[path]

@@ -24,7 +24,7 @@ Options:
                      "Cost attribution"); metrics stay byte-identical
     --snapshot-interval S
                      simulated seconds between progress snapshots
-                     (default 1.0; implies nothing without --progress)
+                     (default 1.0; requires --progress)
 
 Resilience options (see EXPERIMENTS.md, "Resilient execution"):
     --resume             skip points journaled by a previous (killed or
@@ -200,6 +200,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     unknown_flags = [a for a in args if a.startswith("--")]
     if unknown_flags:
         raise SystemExit(f"unknown option(s): {', '.join(unknown_flags)}")
+    if n0_scale is not None and n0_scale <= 0:
+        raise SystemExit(f"--n0-scale must be > 0, got {n0_scale:g}")
+    if snap_interval is not None:
+        if not progress:
+            raise SystemExit("--snapshot-interval requires --progress")
+        if snap_interval <= 0:
+            raise SystemExit("--snapshot-interval must be > 0")
     if run_all or not names:
         names = scenario_names()
     for name in names:
@@ -216,8 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             DEFAULT_SNAPSHOT_INTERVAL if snap_interval is None
             else snap_interval
         )
-        if snapshot_interval <= 0:
-            raise SystemExit("--snapshot-interval must be > 0")
         labels = [(s, d) for s in names for d in defenses]
         on_snapshot = progress_printer(labels)
     with runtime.exit_on_interrupt():
@@ -252,21 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures = report.get("failures", [])
     if failures:
         print(f"\n{len(failures)} point(s) failed after retries:")
-        print(
-            format_table(
-                ["#", "point", "attempts", "error", "last_attempt_s"],
-                [
-                    [
-                        f["index"],
-                        f["point"],
-                        f["attempts"],
-                        f["error"],
-                        f["duration_s"],
-                    ]
-                    for f in failures
-                ],
-            )
-        )
+        print(runtime.render_failures([runtime.FailureRow(**f) for f in failures]))
         return 1
     return 0
 

@@ -31,7 +31,7 @@ from repro.core.protocol import Defense
 from repro.experiments.config import KAPPA
 from repro.experiments.parallel import derive_seed, map_report
 from repro.experiments.runner import adversary_for
-from repro.profiling import ProfilePolicy, ProfileReport
+from repro.profiling import ProfileReport, SpanProfiler
 from repro.scenarios.catalog import get_scenario, scenario_names
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.spec import AttackSchedule, ScenarioSpec
@@ -118,7 +118,7 @@ def run_spec_point(
     point: ScenarioPointSpec,
     snapshot_policy: Optional[SnapshotPolicy] = None,
     on_snapshot: Optional[Callable] = None,
-    profile: Optional[ProfilePolicy] = None,
+    profile: bool = False,
 ) -> Dict:
     """Simulate one (spec, defense) coordinate; returns a flat row.
 
@@ -147,7 +147,6 @@ def run_spec_point(
             horizon=compiled.horizon,
             seed=point.seed,
             snapshots=snapshot_policy,
-            profile=profile,
         ),
         defense,
         compiled.iter_blocks(),
@@ -158,6 +157,9 @@ def run_spec_point(
     )
     for event in compiled.scheduled:
         sim.queue.push(event)
+    profiler = SpanProfiler() if profile else None
+    if profiler is not None:
+        profiler.instrument(sim)
     result = sim.run()
     counters = result.counters
     joins = counters.get("good_join_events", 0)
@@ -188,48 +190,38 @@ def run_spec_point(
         "queue_max_size": counters.get("queue_max_size", 0),
         "compile_warnings": shape["warnings"],
     }
-    if sim.profiler is not None:
+    if profiler is not None:
         # Rides the row itself so the per-point breakdown flows through
         # the same checkpoint/journal/persistence channels as the
         # metrics.  Determinism comparisons pop this key first.
-        row["profile"] = sim.profiler.report().as_dict()
+        row["profile"] = profiler.report().as_dict()
     return row
 
 
-def run_scenario_point(point: ScenarioPointSpec) -> Dict:
-    """Simulate one catalog (scenario, defense) coordinate."""
-    return run_spec_point(get_scenario(point.scenario), point)
-
-
-def run_scenario_point_profiled(point: ScenarioPointSpec) -> Dict:
-    """Profiling variant of :func:`run_scenario_point` (picklable)."""
-    return run_spec_point(
-        get_scenario(point.scenario), point, profile=ProfilePolicy()
-    )
-
-
-def run_scenario_point_live(
+def run_scenario_point(
     point: ScenarioPointSpec,
-    snapshot_interval: float,
+    snapshot_interval: Optional[float] = None,
     profile: bool = False,
     emit_snapshot: Optional[Callable] = None,
 ) -> Dict:
-    """Snapshot-emitting variant of :func:`run_scenario_point`.
+    """Simulate one catalog (scenario, defense) coordinate.
 
-    Module-level (hence picklable) worker entry used by
-    :func:`run_catalog` when telemetry is requested: the runtime calls
-    it with ``emit_snapshot`` wired to the live/collected delivery
-    channel (see :func:`repro.experiments.runtime.run_tasks`).  The
-    returned row's metrics keys are byte-identical to the
-    snapshot-free run; ``profile=True`` additionally attaches the
-    span breakdown.
+    Module-level (hence picklable) worker entry of :func:`run_catalog`.
+    ``snapshot_interval`` turns on telemetry: the runtime then passes
+    ``emit_snapshot`` wired to its live/collected delivery channel (see
+    :func:`repro.experiments.runtime.run_tasks`).  ``profile=True``
+    attaches the span breakdown.  The row's metrics keys are
+    byte-identical either way.
     """
+    policy = None
+    if snapshot_interval is not None:
+        policy = SnapshotPolicy(sim_interval=float(snapshot_interval))
     return run_spec_point(
         get_scenario(point.scenario),
         point,
-        snapshot_policy=SnapshotPolicy(sim_interval=float(snapshot_interval)),
+        snapshot_policy=policy,
         on_snapshot=emit_snapshot,
-        profile=ProfilePolicy() if profile else None,
+        profile=profile,
     )
 
 
@@ -298,28 +290,15 @@ def run_catalog(
     """
     names = list(scenarios) if scenarios is not None else scenario_names()
     points = build_points(names, defenses, seed, t_rate, n0_scale)
-    if snapshot_interval is not None:
-        report = map_report(
-            run_scenario_point_live,
-            [(p, float(snapshot_interval), profile) for p in points],
-            jobs=jobs,
-            star=True,
-            policy=policy,
-            on_row=on_row,
-            on_snapshot=on_snapshot,
-        )
-    elif profile:
-        report = map_report(
-            run_scenario_point_profiled,
-            points,
-            jobs=jobs,
-            policy=policy,
-            on_row=on_row,
-        )
-    else:
-        report = map_report(
-            run_scenario_point, points, jobs=jobs, policy=policy, on_row=on_row
-        )
+    report = map_report(
+        run_scenario_point,
+        [(p, snapshot_interval, profile) for p in points],
+        jobs=jobs,
+        star=True,
+        policy=policy,
+        on_row=on_row,
+        on_snapshot=on_snapshot if snapshot_interval is not None else None,
+    )
     out = {
         "seed": seed,
         "n0_scale": n0_scale,

@@ -81,7 +81,6 @@ from repro.sim.events import (
 )
 from repro.sim.metrics import MetricSet, MetricsSnapshot, SnapshotPolicy
 from repro.sim.rng import RngRegistry
-from repro.profiling import ProfilePolicy, SpanProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.adversary.base import Adversary
@@ -187,17 +186,9 @@ class SimulationConfig:
     #: record bad-fraction / system-size samples every this many seconds
     sample_interval: float = 50.0
     #: emit incremental :class:`~repro.sim.metrics.MetricsSnapshot` rows
-    #: through the simulation's ``on_snapshot`` callback (and the
-    #: defense's :class:`~repro.sim.tracing.TraceRecorder`, when
-    #: enabled).  ``None`` disables emission; final metrics are
-    #: byte-identical either way.
+    #: through the simulation's ``on_snapshot`` callback.  ``None``
+    #: disables emission; final metrics are byte-identical either way.
     snapshots: Optional[SnapshotPolicy] = None
-    #: attribute wall time across the run loop's seams through a
-    #: :class:`~repro.profiling.SpanProfiler` (``Simulation.profiler``).
-    #: ``None`` disables profiling: the loop binds the raw callables in
-    #: one setup branch and pays no new per-iteration cost; final
-    #: metrics are byte-identical either way.
-    profile: Optional[ProfilePolicy] = None
 
 
 @dataclass
@@ -281,12 +272,11 @@ class Simulation:
         self._snap_last_good = 0.0
         self._snap_last_adversary = 0.0
         self._snap_wall_start: Optional[float] = None
-        self._snap_tracer = None
-        #: span accumulator (``config.profile``); ``run()`` drives it
-        #: and :meth:`~repro.profiling.SpanProfiler.report` reads it
-        self.profiler: Optional[SpanProfiler] = (
-            SpanProfiler(config.profile) if config.profile is not None else None
-        )
+        #: the loop's heap primitives (push, pop, drain-pop), bound once
+        #: per ``run()``.  :meth:`repro.profiling.SpanProfiler.instrument`
+        #: swaps in timed copies on this instance only: patching ``heapq``
+        #: itself would time every run sharing the process.
+        self._heap_ops = (heapq.heappush, heapq.heappop, heapq.heappop)
         #: earliest time another adversary.act() call could matter
         self._adversary_wake = float("-inf")
         #: event tallies flushed into MetricSet.counters at summarize
@@ -400,8 +390,7 @@ class Simulation:
         # otherwise be chased once per event.
         queue = self.queue
         heap = queue._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        heappush, heappop, drain_pop = self._heap_ops
         next_seq = queue._seq.__next__
         clock = self.clock
         defense = self.defense
@@ -421,38 +410,15 @@ class Simulation:
         aliases = self._trace_aliases
         owners = self._alias_owners
         # Seam bindings: the loop calls these locals instead of chasing
-        # attributes, which is also where the profiler hooks in.  With
-        # profiling off the raw callables are bound and the loop pays
-        # no new per-iteration cost (the only recurring conditional
-        # cost stays the snapshot hook's two float compares); with it
-        # on, this one setup branch swaps in timed wrappers.
-        prof = self.profiler
-        if prof is not None:
-            # Shadow the defense's hook methods first so the local
-            # bindings below pick up the timed versions.
-            prof.instrument_defense(defense)
+        # attributes once per event.  They are read from the instance,
+        # so a profiler that shadowed them before ``run()`` is bound
+        # here and the loop itself never tests for one.
         join_batch = defense.process_good_join_batch
         depart_batch = defense.process_good_departure_batch
         adv_act = adversary.act if adversary is not None else None
         sample = self._sample_now
         emit_snapshot = self._emit_snapshot
         load_block = self._load_next_block
-        drain_pop = heappop
-        if prof is not None:
-            if prof.deep:
-                heappush = prof.wrap_leaf("engine.heap_push", heappush)
-                heappop = prof.wrap_leaf("engine.heap_pop", heappop)
-                drain_pop = prof.wrap_leaf("engine.heap_drain", drain_pop)
-            if adv_act is not None:
-                adv_act = prof.wrap("adversary.act", adv_act)
-            sample = prof.wrap("engine.sample", sample)
-            emit_snapshot = prof.wrap("engine.snapshot", emit_snapshot)
-            load_block = prof.wrap("engine.block_load", load_block)
-            handlers = {
-                cls: prof.wrap(f"engine.handle.{cls.__name__}", fn)
-                for cls, fn in handlers.items()
-            }
-            prof.begin("engine.run")
         pops = 0
         churn_pushes = 0
         fast_events = 0
@@ -464,13 +430,7 @@ class Simulation:
         # *after* a batch (or event) has been applied exactly as it
         # would have been without the policy, which is what keeps final
         # metrics byte-identical with the hook on or off.
-        tracer = getattr(defense, "tracer", None)
-        self._snap_tracer = tracer if (
-            tracer is not None and tracer.enabled
-        ) else None
-        snap_on = config.snapshots is not None and (
-            self.on_snapshot is not None or self._snap_tracer is not None
-        )
+        snap_on = config.snapshots is not None and self.on_snapshot is not None
         if snap_on:
             if self._snap_wall_start is None:
                 # Wall clock feeds only the snapshot telemetry channel
@@ -745,14 +705,6 @@ class Simulation:
                 handler = handlers.get(cls)
                 if handler is None:
                     handler = resolve(cls)
-                    if prof is not None:
-                        # ``resolve`` caches the raw handler on the
-                        # instance table; the profiled run's local copy
-                        # caches a timed wrapper alongside it.
-                        handler = prof.wrap(
-                            f"engine.handle.{cls.__name__}", handler
-                        )
-                        handlers[cls] = handler
                 handler(event, event_time)
             if now >= next_sample:
                 sample()
@@ -784,8 +736,6 @@ class Simulation:
             # Terminal snapshot: cumulative spend here equals the final
             # row exactly (the horizon-time adversary act has run).
             emit_snapshot(horizon, 0, 0, len(queue._heap), last=True)
-        if prof is not None:
-            prof.end()
         return self._summarize()
 
     # ------------------------------------------------------------------
@@ -921,19 +871,6 @@ class Simulation:
         self._snap_last_adversary = adversary
         if self.on_snapshot is not None:
             self.on_snapshot(snapshot)
-        tracer = self._snap_tracer
-        if tracer is not None:
-            tracer.emit(
-                now, "snapshot",
-                seq=snapshot.seq,
-                events=snapshot.events,
-                system_size=snapshot.system_size,
-                bad_fraction=snapshot.bad_fraction,
-                good_spend=snapshot.good_spend,
-                adversary_spend=snapshot.adversary_spend,
-                good_spend_rate=snapshot.good_spend_rate,
-                adversary_spend_rate=snapshot.adversary_spend_rate,
-            )
         return now + self.config.snapshots.sim_interval
 
     def _sample_now(self) -> None:

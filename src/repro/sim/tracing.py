@@ -7,13 +7,6 @@ can filter, and that can be dumped as JSON lines for external tooling.
 
 Defenses call :meth:`TraceRecorder.emit`; recording is off by default
 and costs one attribute check per call when disabled.
-
-The engine's live-telemetry hook shares this backend: when a
-simulation runs with a :class:`~repro.sim.metrics.SnapshotPolicy` and
-the defense's tracer is enabled, every emitted
-:class:`~repro.sim.metrics.MetricsSnapshot` is mirrored as a
-``kind="snapshot"`` trace event — so protocol events and telemetry
-land in one filterable, dumpable stream (one tracing story).
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ of the wall, a valid speedscope export, the sweep/service plumbing --
 are asserted on top.
 """
 
+import heapq
 import json
+import re
 
 import numpy as np
 import pytest
 
+from repro.adversary.strategies import GreedyJoinAdversary
 from repro.core.ergo import Ergo
 from repro.profiling import (
-    GRANULARITIES,
-    ProfilePolicy,
     ProfileReport,
     SpanProfiler,
     to_speedscope,
@@ -32,6 +33,7 @@ from repro.scenarios.run import (
 )
 from repro.sim.blocks import ChurnBlock
 from repro.sim.engine import Simulation, SimulationConfig
+from repro.sim.events import BadDepartureBatch
 
 SCENARIO = "flash-crowd"
 N0_SCALE = 0.05
@@ -54,20 +56,57 @@ def make_point(defense: str, seed: int = 11):
     return spec, point
 
 
-def profiled_report(defense="ERGO", granularity="default"):
+def profiled_report(defense="ERGO"):
     spec, point = make_point(defense)
-    row = run_spec_point(
-        spec, point, profile=ProfilePolicy(granularity=granularity)
-    )
+    row = run_spec_point(spec, point, profile=True)
     return row, ProfileReport.from_dict(row["profile"])
 
 
-class TestPolicy:
-    def test_granularities_validated(self):
-        for g in GRANULARITIES:
-            assert ProfilePolicy(granularity=g).granularity == g
-        with pytest.raises(ValueError, match="granularity"):
-            ProfilePolicy(granularity="verbose")
+def build_ergo_sim():
+    """A hand-built ERGO run: session churn, a greedy Sybil attack and
+    one scheduled Sybil withdrawal (a heap-dispatched handler)."""
+    n = 2_000
+    block = ChurnBlock(
+        (np.arange(n) + 1) * 0.1,
+        np.zeros(n, dtype=np.uint8),
+        sessions=np.full(n, 5.0),
+    )
+    sim = Simulation(
+        SimulationConfig(horizon=300.0, tick_interval=1.0, seed=1),
+        Ergo(),
+        [block],
+        adversary=GreedyJoinAdversary(rate=20.0),
+    )
+    sim.queue.push(BadDepartureBatch(time=100.0, count=5))
+    return sim
+
+
+def result_json(result):
+    """A finished run's summary and sampled series, for equality."""
+    doc = {k: v for k, v in vars(result).items() if k != "metrics"}
+    doc["bad_fraction"] = result.metrics.bad_fraction.values.tolist()
+    doc["system_size"] = result.metrics.system_size.values.tolist()
+    return json.dumps(doc, sort_keys=True)
+
+
+def assert_balanced(report):
+    """Per node, children sum within the parent and self = total - kids."""
+    by_path = {row.path: row for row in report.rows}
+    children = {}
+    for row in report.rows:
+        if row.parent:
+            children.setdefault(row.parent, []).append(row)
+    assert children, "expected a nested span tree"
+    for parent_path, kids in children.items():
+        parent = by_path[parent_path]
+        child_total = sum(k.total_s for k in kids)
+        assert child_total <= parent.total_s + EPS_S, (
+            f"{parent_path}: children sum {child_total:.6f}s over "
+            f"parent total {parent.total_s:.6f}s"
+        )
+        assert parent.self_s == pytest.approx(
+            parent.total_s - child_total, abs=EPS_S
+        )
 
 
 class TestByteIdentityMatrix:
@@ -77,7 +116,7 @@ class TestByteIdentityMatrix:
     def test_row_identical_with_and_without_profiling(self, defense):
         spec, point = make_point(defense)
         base = run_spec_point(spec, point)
-        profiled = run_spec_point(spec, point, profile=ProfilePolicy())
+        profiled = run_spec_point(spec, point, profile=True)
         breakdown = profiled.pop("profile")
         assert breakdown["spans"], "profiled run produced no spans"
         assert json.dumps(profiled, sort_keys=True) == json.dumps(
@@ -90,72 +129,74 @@ class TestByteIdentityMatrix:
         assert "profile" not in row
 
 
-def shadowed_hooks(defense):
+def shadowed_hooks(sim):
     """Callable instance attributes that shadow a class attribute (what
-    ``SpanProfiler._shadow`` installs) on the defense, its pricing
-    window and its membership set."""
+    ``SpanProfiler._shadow`` installs) on the simulation, its adversary,
+    the defense, its pricing window and its membership set."""
+    defense = sim.defense
+    owners = (
+        sim, sim.adversary, defense, defense._window, defense.population.good
+    )
     return [
         name
-        for obj in (defense, defense._window, defense.population.good)
+        for obj in owners
         for name, value in vars(obj).items()
         if callable(value) and hasattr(type(obj), name)
     ]
 
 
 class TestDisabledPath:
-    """``profile=None`` installs nothing: no profiler, no wrapped hook."""
+    """An uninstrumented run installs nothing: no wrapped seam anywhere."""
 
-    def run_ergo(self, policy):
-        n = 2_000
-        block = ChurnBlock(
-            (np.arange(n) + 1) * 0.1,
-            np.zeros(n, dtype=np.uint8),
-            sessions=np.full(n, 5.0),
-        )
-        defense = Ergo()
-        sim = Simulation(
-            SimulationConfig(
-                horizon=300.0, tick_interval=1.0, seed=1, profile=policy
-            ),
-            defense,
-            [block],
-        )
+    def run_ergo(self, profile):
+        sim = build_ergo_sim()
+        if profile:
+            SpanProfiler().instrument(sim)
         sim.run()
-        return sim, defense
+        return sim
 
     def test_no_profiler_and_no_shadowed_hooks(self):
-        sim, defense = self.run_ergo(None)
-        assert sim.profiler is None
-        assert shadowed_hooks(defense) == []
+        sim = self.run_ergo(profile=False)
+        assert shadowed_hooks(sim) == []
+        assert sim._heap_ops == (heapq.heappush, heapq.heappop, heapq.heappop)
+        assert all(h.__self__ is sim for h in sim._handlers.values())
 
     def test_enabled_profiler_shadows_hooks(self):
         # The check above can see a shadow: profiling on installs them.
-        sim, defense = self.run_ergo(ProfilePolicy())
-        assert sim.profiler is not None
-        assert {"process_good_join_batch", "quote_record_run", "add_batch"} <= set(
-            shadowed_hooks(defense)
+        sim = self.run_ergo(profile=True)
+        assert {
+            "run", "_sample_now", "act",
+            "process_good_join_batch", "quote_record_run", "add_batch",
+        } <= set(shadowed_hooks(sim))
+
+
+class TestInstrument:
+    """``instrument(sim)`` on a hand-built simulation."""
+
+    def test_seams_nest_under_one_root_and_metrics_match(self):
+        expected = result_json(build_ergo_sim().run())
+        sim = build_ergo_sim()
+        prof = SpanProfiler()
+        prof.instrument(sim)
+        assert result_json(sim.run()) == expected
+        report = prof.report()
+        assert [r.path for r in report.rows if not r.parent] == ["engine.run"]
+        paths = {row.path for row in report.rows}
+        for span in (
+            "engine.heap_pop", "adversary.act", "engine.handle.BadDepartureBatch"
+        ):
+            assert f"engine.run;{span}" in paths
+        assert (
+            "engine.run;defense.Ergo.join_batch;defense.Ergo.price_batch"
+            in paths
         )
+        assert_balanced(report)
 
 
 class TestReportInvariants:
     def test_children_sum_within_parent_total(self):
         _, report = profiled_report()
-        by_path = {row.path: row for row in report.rows}
-        children = {}
-        for row in report.rows:
-            if row.parent:
-                children.setdefault(row.parent, []).append(row)
-        assert children, "expected a nested span tree"
-        for parent_path, kids in children.items():
-            parent = by_path[parent_path]
-            child_total = sum(k.total_s for k in kids)
-            assert child_total <= parent.total_s + EPS_S, (
-                f"{parent_path}: children sum {child_total:.6f}s over "
-                f"parent total {parent.total_s:.6f}s"
-            )
-            assert parent.self_s == pytest.approx(
-                parent.total_s - child_total, abs=EPS_S
-            )
+        assert_balanced(report)
 
     def test_self_times_cover_the_wall(self):
         # The acceptance bar: spans account for >= 90% of the run wall.
@@ -172,17 +213,6 @@ class TestReportInvariants:
         # pricing/membership internals nest under the defense hooks
         assert "defense.Ergo.price_batch" in spans
         assert "membership.add" in spans
-
-    def test_coarse_granularity_drops_per_op_spans(self):
-        _, deep = profiled_report(granularity="default")
-        _, coarse = profiled_report(granularity="coarse")
-        deep_spans = {row.span for row in deep.rows}
-        coarse_spans = {row.span for row in coarse.rows}
-        assert len(coarse.rows) < len(deep.rows)
-        assert "engine.heap_pop" in deep_spans
-        assert "engine.heap_pop" not in coarse_spans
-        assert "membership.add" not in coarse_spans
-        assert "defense.Ergo.join_batch" in coarse_spans
 
     def test_batch_spans_count_rows_as_events(self):
         row, report = profiled_report()
@@ -222,15 +252,29 @@ class TestReportSerde:
         assert f"{len(report.rows)} spans cover" in full
 
     def test_report_survives_exception_mid_run(self):
+        sim = build_ergo_sim()
+        on_tick = sim.defense.on_tick
+
+        def failing_on_tick(now):
+            if now >= 50.0:
+                raise RuntimeError("hook failed")
+            on_tick(now)
+
+        sim.defense.on_tick = failing_on_tick
         prof = SpanProfiler()
-        prof.begin("engine.run")
-        fail = prof.wrap("boom", lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            fail()
-        report = prof.report()  # closes the dangling engine.run frame
-        paths = {row.path for row in report.rows}
-        assert paths == {"engine.run", "engine.run;boom"}
+        prof.instrument(sim)
+        with pytest.raises(RuntimeError, match="hook failed"):
+            sim.run()
+        assert prof._stack == []
+        report = prof.report()
+        by_path = {row.path: row for row in report.rows}
+        assert by_path["engine.run"].calls == 1
+        assert (
+            "engine.run;engine.handle._TickMarker;defense.Ergo.on_tick"
+            in by_path
+        )
         assert report.wall_s > 0
+        assert_balanced(report)
 
 
 class TestSpeedscope:
@@ -338,13 +382,27 @@ class TestCli:
         ):
             self.run_cli(SCENARIO, flag, value)
 
-    def test_coarse_flag_runs(self, capsys):
-        rc = self.run_cli(
-            SCENARIO, "--defense", "null", "--n0-scale", str(N0_SCALE),
-            "--coarse",
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--top", "0", "--top must be >= 1, got 0"),
+            ("--top", "-2", "--top must be >= 1, got -2"),
+            ("--n0-scale", "-1", "--n0-scale must be > 0, got -1"),
+        ],
+    )
+    def test_out_of_range_option_exits_before_running(
+        self, monkeypatch, flag, value, message
+    ):
+        monkeypatch.setattr(
+            profile_cli, "profile_point",
+            lambda *a, **kw: pytest.fail("profiled run started"),
         )
-        assert rc == 0
-        assert "engine.run" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            self.run_cli(SCENARIO, flag, value)
+
+    def test_coarse_flag_is_unknown(self):
+        with pytest.raises(SystemExit, match="unknown option.*--coarse"):
+            self.run_cli(SCENARIO, "--coarse")
 
 
 class TestServeProfile:

@@ -1,6 +1,7 @@
 """The ``python -m repro scenarios`` command-line surface."""
 
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,21 @@ def test_non_numeric_option_exits_before_running(monkeypatch, flag, value, noun)
     )
     with pytest.raises(SystemExit, match=f"{flag} expects {noun}, got '{value}'"):
         main(["run", "flash-crowd", flag, value])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n0-scale", "-1"], "--n0-scale must be > 0, got -1"),
+        (["--snapshot-interval", "5"], "--snapshot-interval requires --progress"),
+    ],
+)
+def test_bad_option_value_exits_before_running(monkeypatch, args, message):
+    monkeypatch.setattr(
+        "repro.scenarios.cli.run_catalog", lambda **kw: pytest.fail("catalog ran")
+    )
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["run", "flash-crowd"] + args)
 
 
 def test_unknown_defense_fails_fast():

@@ -18,7 +18,7 @@ from repro.scenarios.run import (
     build_points,
     resolve_t_rate,
     run_catalog,
-    run_scenario_point_live,
+    run_scenario_point,
     run_spec_point,
 )
 from repro.sim.metrics import MetricsSnapshot, SnapshotPolicy
@@ -126,53 +126,6 @@ class TestByteIdentityMatrix:
         assert snaps and snaps[-1].last
 
 
-class TestTracerMirror:
-    """An enabled defense tracer mirrors snapshots, listener or not."""
-
-    SNAPSHOT_FIELDS = {
-        "seq", "events", "system_size", "bad_fraction",
-        "good_spend", "adversary_spend",
-        "good_spend_rate", "adversary_spend_rate",
-    }
-
-    def _run_ergo(self, snapshots=None):
-        from repro.churn.datasets import NETWORKS
-        from repro.core.ergo import Ergo
-        from repro.sim.engine import Simulation, SimulationConfig
-        from repro.sim.rng import RngRegistry
-
-        defense = Ergo()
-        defense.tracer.enabled = True
-        registry = RngRegistry(seed=7)
-        scenario = NETWORKS["gnutella"].scenario(
-            horizon=100.0, rng=registry.stream("churn"), n0=300,
-            equilibrium=True,
-        )
-        sim = Simulation(
-            SimulationConfig(horizon=100.0, seed=7, snapshots=snapshots),
-            defense,
-            scenario.events,
-            rngs=registry,
-            initial_members=scenario.initial,
-        )
-        sim.run()
-        return defense
-
-    def test_snapshots_reach_tracer_without_on_snapshot(self):
-        defense = self._run_ergo(SnapshotPolicy(sim_interval=10.0))
-        events = defense.tracer.of_kind("snapshot")
-        assert events
-        assert [e.fields["seq"] for e in events] == list(range(len(events)))
-        for event in events:
-            assert set(event.fields) == self.SNAPSHOT_FIELDS
-        times = [e.time for e in events]
-        assert times == sorted(times)
-
-    def test_no_policy_means_no_tracer_snapshots(self):
-        defense = self._run_ergo(snapshots=None)
-        assert defense.tracer.of_kind("snapshot") == []
-
-
 class TestRuntimeDelivery:
     """run_tasks delivery: live under jobs=1, bundled under a pool."""
 
@@ -186,7 +139,7 @@ class TestRuntimeDelivery:
 
         log = []
         report = run_tasks(
-            run_scenario_point_live,
+            run_scenario_point,
             [(p, 20.0) for p in self._points()],
             jobs=jobs,
             star=True,
