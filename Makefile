@@ -64,12 +64,18 @@ serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py
 
 # Trace-subsystem smoke: registry listing, offline synthetic-generator
-# fetch + streamed stats, packaged-fixture stats, a convert round trip
-# (gzip copy in a temp dir whose stats must match the source's), and a
-# streamed replay scenario across the defense suite.  No network, ever.
+# fetch + streamed stats, byte-identical generation in two processes
+# (two caches, compared with cmp), packaged-fixture stats, a convert
+# round trip (gzip copy in a temp dir whose stats must match the
+# source's), and a streamed replay scenario across the defense suite.
+# No network, ever.
 traces-smoke:
 	$(PYTHON) -m repro traces list
 	$(PYTHON) -m repro traces fetch synthetic-flap-ci --force
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	REPRO_TRACE_DIR="$$tmp/a" $(PYTHON) -m repro traces fetch synthetic-flap-ci --force && \
+	REPRO_TRACE_DIR="$$tmp/b" $(PYTHON) -m repro traces fetch synthetic-flap-ci --force && \
+	cmp "$$tmp"/a/synthetic-flap-ci-*.csv.gz "$$tmp"/b/synthetic-flap-ci-*.csv.gz
 	$(PYTHON) -m repro traces stats synthetic-flap-ci
 	$(PYTHON) -m repro traces stats tor-relay-flap
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

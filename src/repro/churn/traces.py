@@ -9,19 +9,20 @@ length passes through in bounded memory.  Hand-written event lists are
 packed first with :func:`repro.sim.blocks.blocks_from_events`.
 
 CSV paths ending in ``.gz`` are transparently compressed, matching the
-:mod:`repro.traces` streaming reader's convention.
+:mod:`repro.traces` streaming reader's convention, and every write is
+atomic (:func:`repro.traces.io.write_trace_text`).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.sim.blocks import ChurnBlock, JOIN
-from repro.traces.io import TRACE_CSV_HEADER, open_trace_text
+from repro.traces.io import TRACE_CSV_HEADER, write_trace_text
 
 
 @dataclass(frozen=True)
@@ -82,60 +83,90 @@ def _require_block(item) -> ChurnBlock:
     return item
 
 
-def trace_stats(blocks: Iterable[ChurnBlock]) -> TraceStats:
-    """Compute joins/departures/rates for a block stream.
+class TraceStatsFold:
+    """:class:`TraceStats` accumulated one block at a time.
 
-    Blocks are reduced with vectorized array operations -- no per-event
-    objects are built -- so a multi-million-row trace costs
-    ``O(block_size)`` memory end to end.  The first and last times are
-    the stream's minimum and maximum.  The peak-join bins assume the
-    stream is time-sorted, as every producer in the repository enforces
-    (generator output, compiled scenarios, the streaming trace reader):
-    one open 1-second bin and a running maximum replace a per-second
-    map.
+    :func:`trace_stats` folds a whole stream; :meth:`observe` folds
+    each block as a consumer pulls it, so a run reads its workload shape
+    off the same pass that feeds the engine.  Blocks are reduced with
+    vectorized array operations -- no per-event objects are built -- so
+    a multi-million-row trace costs ``O(block_size)`` memory end to end.
+    The first and last times are the stream's minimum and maximum.  The
+    peak-join bins assume the stream is time-sorted, as every producer
+    in the repository enforces (generator output, compiled scenarios,
+    the streaming trace reader): one open 1-second bin and a running
+    maximum replace a per-second map.
     """
-    stats = TraceStats()
-    session_sum = 0.0
-    session_count = 0
-    first: Optional[float] = None
-    last = 0.0
-    open_sec: Optional[int] = None
-    open_count = 0
-    peak = 0
-    for block in blocks:
+
+    def __init__(self) -> None:
+        self._joins = 0
+        self._departures = 0
+        self._first: Optional[float] = None
+        self._last = 0.0
+        self._session_sum = 0.0
+        self._session_count = 0
+        self._open_sec: Optional[int] = None
+        self._open_count = 0
+        self._peak = 0
+
+    def add(self, block: ChurnBlock) -> None:
         if len(_require_block(block)) == 0:
-            continue
+            return
         times = block.times
         block_first = float(times[0])
-        if first is None or block_first < first:
-            first = block_first
-        last = max(last, float(times[-1]))
+        if self._first is None or block_first < self._first:
+            self._first = block_first
+        self._last = max(self._last, float(times[-1]))
         join_mask = block.kinds == JOIN
         block_joins = int(np.count_nonzero(join_mask))
-        stats.joins += block_joins
-        stats.departures += len(block) - block_joins
+        self._joins += block_joins
+        self._departures += len(block) - block_joins
         if not block_joins:
-            continue
+            return
         if block.sessions is not None:
             sessions = block.sessions[join_mask]
             valid = sessions[~np.isnan(sessions)]
-            session_sum += float(np.sum(valid))
-            session_count += len(valid)
+            self._session_sum += float(np.sum(valid))
+            self._session_count += len(valid)
         seconds, counts = np.unique(
             np.floor(times[join_mask]).astype(np.int64), return_counts=True
         )
         for sec, cnt in zip(seconds.tolist(), counts.tolist()):
-            if sec == open_sec:
-                open_count += cnt
+            if sec == self._open_sec:
+                self._open_count += cnt
                 continue
-            peak = max(peak, open_count)
-            open_sec, open_count = sec, cnt
-    stats.first_time = first if first is not None else 0.0
-    stats.last_time = last
-    if session_count:
-        stats.mean_session = session_sum / session_count
-    stats.peak_joins_1s = max(peak, open_count)
-    return stats
+            self._peak = max(self._peak, self._open_count)
+            self._open_sec, self._open_count = sec, cnt
+
+    def observe(self, blocks: Iterable[ChurnBlock]) -> Iterator[ChurnBlock]:
+        """Pass ``blocks`` through, folding each one as it is pulled."""
+        for block in blocks:
+            self.add(block)
+            yield block
+
+    def result(self) -> TraceStats:
+        """The statistics of every block folded so far."""
+        return TraceStats(
+            joins=self._joins,
+            departures=self._departures,
+            first_time=self._first if self._first is not None else 0.0,
+            last_time=self._last,
+            mean_session=(
+                self._session_sum / self._session_count
+                if self._session_count
+                else None
+            ),
+            peak_joins_1s=max(self._peak, self._open_count),
+        )
+
+
+def trace_stats(blocks: Iterable[ChurnBlock]) -> TraceStats:
+    """Compute joins/departures/rates for a block stream
+    (see :class:`TraceStatsFold`)."""
+    fold = TraceStatsFold()
+    for block in blocks:
+        fold.add(block)
+    return fold.result()
 
 
 def save_trace_csv(path, blocks: Iterable[ChurnBlock]) -> None:
@@ -145,9 +176,10 @@ def save_trace_csv(path, blocks: Iterable[ChurnBlock]) -> None:
     ``blocks`` may be lazy, so converting an arbitrarily long stream
     runs in bounded memory.  A zero or NaN session and an empty ident
     serialize as empty cells.  A ``.gz`` path writes gzip-compressed
-    output.
+    output.  The write is atomic: if ``blocks`` raises part way, ``path``
+    is left as it was (:func:`~repro.traces.io.write_trace_text`).
     """
-    with open_trace_text(path, "wt") as handle:
+    with write_trace_text(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_CSV_HEADER)
         for block in blocks:

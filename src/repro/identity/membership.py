@@ -33,9 +33,9 @@ Sybil IDs are interchangeable and live as cohorts in
 :class:`repro.core.population.AggregateBadPopulation`, while a good ID
 must be tracked individually because the departing one is drawn
 uniformly at random (Section 2).  It is one dense table -- an integer
-member column and a position map indexed by ident, both typed arrays --
-that grows by appending and shrinks by swap-remove, giving O(1) uniform
-selection.  Whole-run batch mutators
+member column and a position map indexed by ident, both paged typed
+arrays -- that grows by appending and shrinks by swap-remove, giving
+O(1) uniform selection.  Whole-run batch mutators
 (:meth:`~ArenaMembershipSet.add_batch` /
 :meth:`~ArenaMembershipSet.remove_batch`) replace the per-member work
 that would otherwise dominate the engine's block fast path, which is
@@ -137,22 +137,53 @@ class SymmetricDifferenceTracker:
         return self._departed
 
 
-def _extend_ramp(column: array, start: int, count: int) -> None:
-    """``column.extend(range(start, start + count))``, done fast.
+#: Both columns are lists of pages of ``_PAGE`` int64 entries (64 KiB).
+_PAGE_BITS = 13
+_PAGE = 1 << _PAGE_BITS
+_MASK = _PAGE - 1
+#: New pages are exact-size copies of these: a position-map page starts
+#: all absent (int64 -1 is all one bits in either byte order); a member
+#: page's rows are written before they are read.
+_ABSENT_PAGE = array("q", b"\xff" * (8 * _PAGE))
+_BLANK_PAGE = array("q", bytes(8 * _PAGE))
 
-    A typed array converts Python ints one at a time through the
-    argument parser; past a handful of rows one numpy ``arange`` copied
-    in as raw bytes is several times cheaper.
+
+def _grow(
+    pages: List[array], views: List[memoryview], size: int, template: array
+) -> None:
+    """Append copies of ``template`` until ``pages`` hold ``size`` entries.
+
+    ``views`` gets a memoryview of each new page, for :func:`_fill_ramp`.
     """
-    if count < 8:
-        column.extend(range(start, start + count))
-    else:
-        column.frombytes(np.arange(start, start + count, dtype=np.int64).tobytes())
+    while len(pages) << _PAGE_BITS < size:
+        page = template[:]
+        pages.append(page)
+        views.append(memoryview(page))
 
 
-#: One absent position-map entry: int64 -1 is all one bits in either byte
-#: order, so a gap of ``g`` idents pads as ``_ABSENT * g`` raw bytes.
-_ABSENT = b"\xff" * 8
+def _fill_ramp(
+    pages: List[array], views: List[memoryview], at: int, start: int, count: int
+) -> None:
+    """Write ``start, start + 1, ...`` (``count`` values) from entry ``at``.
+
+    Past a handful of rows one numpy ``arange`` per page is several times
+    cheaper than storing Python ints one at a time.  It is ``longlong``
+    because a memoryview copies only between buffers of one format, and
+    a page's format is ``'q'``.
+    """
+    while count:
+        i = at >> _PAGE_BITS
+        off = at & _MASK
+        run = count if off + count <= _PAGE else _PAGE - off
+        if run < 8:
+            page = pages[i]
+            for j in range(run):
+                page[off + j] = start + j
+        else:
+            views[i][off : off + run] = np.arange(start, start + run, dtype=np.longlong)
+        at += run
+        start += run
+        count -= run
 
 
 def _not_new(ident, last: int) -> ValueError:
@@ -166,10 +197,11 @@ class ArenaMembershipSet:
     """The server's set of good IDs, stored as one dense swap-remove table.
 
     Idents are the ``int`` join counters that
-    :class:`~repro.identity.ids.IdentityFactory` issues.  ``_members``
-    holds them in table order; ``_pos`` is indexed by ident and holds its
-    table position, ``-1`` for an ident that is absent (departed, never
-    added, or skipped).  Ident 0 is never issued.
+    :class:`~repro.identity.ids.IdentityFactory` issues.  The member
+    column ``_members`` holds them in table order (rows ``0 .. _n - 1``);
+    the position map ``_pos`` is indexed by ident and holds its table
+    position, ``-1`` for an ident that is absent (departed, never added,
+    or skipped).  Ident 0 is never issued.
     A join appends a row; a departure moves the last row into the hole.
     That is exactly the order of a plain swap-remove list, which is what
     seeded ``random_good`` draws index into.
@@ -181,15 +213,22 @@ class ArenaMembershipSet:
     duplicate and a re-added departed ID alike.  Gaps -- idents issued to
     joiners the defense refused -- read as absent.
 
-    Both columns are ``array('q')``: one raw machine value per entry,
-    O(1) append/pop and cheap scalar access, which the engine's mix of
-    whole-run batches and single-row mutations needs.  A whole-run join
-    arrives as a ``range`` and fills both columns from numpy ramps.
+    Both columns are lists of 64 KiB ``array('q')`` pages: one raw
+    machine value per entry and cheap scalar access, which the engine's
+    mix of whole-run batches and single-row mutations needs; entry ``i``
+    is ``column[i >> _PAGE_BITS][i & _MASK]``.  A whole-run join arrives
+    as a ``range`` and fills both columns from numpy ramps.  A page is
+    allocated once, at one size, and never resized, so a process's peak
+    RSS does not depend on its allocation history.  A column kept as one
+    growing array is reallocated ~70 times on its way to 10^6 rows, and
+    whether the C allocator extends it in place or copies it (holding
+    both copies for a moment) turns on what else the process allocated
+    before: identical runs then peaked a whole column apart.
     Memory: the position map costs 8 B per join ever made (it is never
-    compacted), and the member column 8 B per member at its peak, since
-    an array does not shrink on pop.  The string-keyed table this
-    replaced cost ~87 B per standing member (a dict entry, a boxed
-    position, a list pointer and a serial).
+    compacted), and the member column 8 B per member at its peak (pages
+    are kept when members leave), each rounded up to a whole page.  The
+    string-keyed table this replaced cost ~87 B per standing member (a
+    dict entry, a boxed position, a list pointer and a serial).
 
     Supports O(1) joins and removals, O(1) uniform random selection (the
     ABC model's departure rule), any number of attached
@@ -199,16 +238,21 @@ class ArenaMembershipSet:
     """
 
     def __init__(self) -> None:
-        self._members = array("q")
-        #: index 0 stands for ident 0, which is never issued
-        self._pos = array("q", [-1])
+        self._members: List[array] = []
+        self._n = 0
+        self._pos: List[array] = []
+        #: memoryviews of the pages, for whole-run ramps
+        self._members_views: List[memoryview] = []
+        self._pos_views: List[memoryview] = []
+        #: entry 0 stands for ident 0, which is never issued
+        _grow(self._pos, self._pos_views, 1, _ABSENT_PAGE)
         self._trackers: Dict[str, SymmetricDifferenceTracker] = {}
         self._tracker_list: List[SymmetricDifferenceTracker] = []
         self._last = 0
 
     # -- tracker plumbing --------------------------------------------------
     def attach_tracker(self, name: str, tracker: SymmetricDifferenceTracker) -> None:
-        tracker.reset(len(self._members), self._last)
+        tracker.reset(self._n, self._last)
         self._trackers[name] = tracker
         self._tracker_list = list(self._trackers.values())
 
@@ -216,7 +260,7 @@ class ArenaMembershipSet:
         return self._trackers[name]
 
     def reset_tracker(self, name: str) -> None:
-        self._trackers[name].reset(len(self._members), self._last)
+        self._trackers[name].reset(self._n, self._last)
 
     def sym_diff(self, name: str) -> int:
         return self._trackers[name].symmetric_difference
@@ -227,10 +271,15 @@ class ArenaMembershipSet:
         if ident <= last:
             raise _not_new(ident, last)
         pos = self._pos
-        if ident > last + 1:
-            pos.frombytes(_ABSENT * (ident - last - 1))
-        pos.append(len(self._members))
-        self._members.append(ident)
+        members = self._members
+        n = self._n
+        if ident >> _PAGE_BITS >= len(pos):
+            _grow(pos, self._pos_views, ident + 1, _ABSENT_PAGE)
+        if n >> _PAGE_BITS >= len(members):
+            _grow(members, self._members_views, n + 1, _BLANK_PAGE)
+        pos[ident >> _PAGE_BITS][ident & _MASK] = n
+        members[n >> _PAGE_BITS][n & _MASK] = ident
+        self._n = n + 1
         self._last = ident
         if self._tracker_list:
             for tr in self._tracker_list:
@@ -258,25 +307,30 @@ class ArenaMembershipSet:
         first = idents[0]
         members = self._members
         pos = self._pos
+        n = self._n
         if type(idents) is range and idents.step == 1:
             if first <= last:
                 raise _not_new(first, last)
-            if first > last + 1:
-                pos.frombytes(_ABSENT * (first - last - 1))
-            _extend_ramp(pos, len(members), k)
-            _extend_ramp(members, first, k)
+            if first + k > len(pos) << _PAGE_BITS:
+                _grow(pos, self._pos_views, first + k, _ABSENT_PAGE)
+            if n + k > len(members) << _PAGE_BITS:
+                _grow(members, self._members_views, n + k, _BLANK_PAGE)
+            _fill_ramp(pos, self._pos_views, first, n, k)
+            _fill_ramp(members, self._members_views, n, first, k)
         else:
             prev = last
             for ident in idents:
                 if ident <= prev:
                     raise _not_new(ident, prev)
                 prev = ident
+            _grow(pos, self._pos_views, prev + 1, _ABSENT_PAGE)
+            _grow(members, self._members_views, n + k, _BLANK_PAGE)
+            at = n
             for ident in idents:
-                gap = ident - len(pos)
-                if gap:
-                    pos.frombytes(_ABSENT * gap)
-                pos.append(len(members))
-                members.append(ident)
+                pos[ident >> _PAGE_BITS][ident & _MASK] = at
+                members[at >> _PAGE_BITS][at & _MASK] = ident
+                at += 1
+        self._n = n + k
         self._last = idents[-1]
         if self._tracker_list:
             for tr in self._tracker_list:
@@ -284,18 +338,21 @@ class ArenaMembershipSet:
 
     def discard(self, ident: int) -> bool:
         """Remove ``ident`` if present; return whether it was."""
-        pos = self._pos
-        if not 0 < ident < len(pos):
+        if not 0 < ident <= self._last:
             return False
-        at = pos[ident]
+        pos = self._pos
+        page = pos[ident >> _PAGE_BITS]
+        off = ident & _MASK
+        at = page[off]
         if at < 0:
             return False
-        pos[ident] = -1
-        members = self._members
-        moved = members.pop()
-        if at != len(members):
-            members[at] = moved
-            pos[moved] = at
+        page[off] = -1
+        n = self._n = self._n - 1
+        if at != n:
+            members = self._members
+            moved = members[n >> _PAGE_BITS][n & _MASK]
+            members[at >> _PAGE_BITS][at & _MASK] = moved
+            pos[moved >> _PAGE_BITS][moved & _MASK] = at
         if self._tracker_list:
             for tr in self._tracker_list:
                 tr.on_depart(ident)
@@ -316,29 +373,33 @@ class ArenaMembershipSet:
         if len(idents) == 1:
             return 1 if self.discard(idents[0]) else 0
         pos = self._pos
-        end = len(pos)
         members = self._members
-        pop = members.pop
-        before = n = len(members)
+        last = self._last
+        bits = _PAGE_BITS
+        mask = _MASK
+        before = n = self._n
         track = bool(self._tracker_list)
         gone: List[int] = []
         note = gone.append
         # Inlined ``discard``: this loop runs once per session departure,
         # and the call overhead alone is measurable.
         for ident in idents:
-            if not 0 < ident < end:
+            if not 0 < ident <= last:
                 continue
-            at = pos[ident]
+            page = pos[ident >> bits]
+            off = ident & mask
+            at = page[off]
             if at < 0:
                 continue
-            pos[ident] = -1
+            page[off] = -1
             if track:
                 note(ident)
-            moved = pop()
             n -= 1
             if at != n:
-                members[at] = moved
-                pos[moved] = at
+                moved = members[n >> bits][n & mask]
+                members[at >> bits][at & mask] = moved
+                pos[moved >> bits][moved & mask] = at
+        self._n = n
         if gone:
             for tr in self._tracker_list:
                 tr.on_depart_batch(gone)
@@ -346,15 +407,17 @@ class ArenaMembershipSet:
 
     # -- queries -----------------------------------------------------------
     def __contains__(self, ident: int) -> bool:
-        pos = self._pos
-        return 0 < ident < len(pos) and pos[ident] >= 0
+        return (
+            0 < ident <= self._last
+            and self._pos[ident >> _PAGE_BITS][ident & _MASK] >= 0
+        )
 
     def __len__(self) -> int:
-        return len(self._members)
+        return self._n
 
     @property
     def size(self) -> int:
-        return len(self._members)
+        return self._n
 
     @property
     def last_serial(self) -> int:
@@ -362,7 +425,15 @@ class ArenaMembershipSet:
 
     def good_ids(self) -> List[int]:
         """The members in table order (the order ``random_good`` indexes)."""
-        return self._members.tolist()
+        full = self._n >> _PAGE_BITS
+        rest = self._n & _MASK
+        members = self._members
+        ids: List[int] = []
+        for page in members[:full]:
+            ids += page.tolist()
+        if rest:
+            ids += members[full][:rest].tolist()
+        return ids
 
     def random_good(self, rng: np.random.Generator) -> Optional[int]:
         """A good ID selected uniformly at random, or ``None`` if empty.
@@ -371,8 +442,8 @@ class ArenaMembershipSet:
         *when* a good departure happens but cannot choose *which* good ID
         departs (Section 2).
         """
-        members = self._members
-        n = len(members)
+        n = self._n
         if not n:
             return None
-        return members[int(rng.integers(0, n))]
+        at = int(rng.integers(0, n))
+        return self._members[at >> _PAGE_BITS][at & _MASK]

@@ -14,6 +14,7 @@ Options:
     --seed N         run seed (default 2021; per-point derivation
                      matches ``scenarios run``)
     --t-rate T       override the scenario's adversary spend rate
+                     (>= 0; 0 runs without an adversary)
     --n0-scale X     scale initial populations (default 1.0)
     --quick          preset: --n0-scale 0.25 (the CI smoke scale)
     --top N          print only the N hottest spans (default: all)
@@ -145,6 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit(f"--top must be >= 1, got {top}")
     if n0_scale is not None and n0_scale <= 0:
         raise SystemExit(f"--n0-scale must be > 0, got {n0_scale:g}")
+    if t_rate is not None and not t_rate >= 0:
+        raise SystemExit(f"--t-rate must be >= 0, got {t_rate:g}")
     if len(names) != 1:
         raise SystemExit(
             "profile takes exactly one scenario "

@@ -208,7 +208,7 @@ class SpanProfiler:
         internals are shadowed once ``sim._bootstrap`` has run, because
         a defense may build them there (Ergo's pricing window comes
         from ``after_bootstrap``); the one-shot bootstrap wrapper then
-        removes itself, so a re-entered ``run()`` wraps nothing twice.
+        removes itself, so the simulation keeps no shadow of it.
         Hooks a defense lacks are skipped, so Null and the baselines
         instrument as well as Ergo.
         """

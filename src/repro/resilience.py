@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,12 +114,15 @@ def atomic_tmp_path(target: Union[str, Path]) -> Path:
     """A same-directory temp path whose suffix is the target's full name.
 
     Keeping the target name as the suffix means suffix-sniffing writers
-    (gzip-by-``.gz``) treat both paths identically; the pid prefix keeps
-    concurrent writers from clobbering each other's temp files.
+    (gzip-by-``.gz``) treat both paths identically; the pid and thread
+    prefix keeps concurrent writers (sweep worker processes, the
+    service's job threads) from clobbering each other's temp files.
     """
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
-    return target.with_name(f".tmp{os.getpid()}.{target.name}")
+    return target.with_name(
+        f".tmp{os.getpid()}-{threading.get_ident()}.{target.name}"
+    )
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:

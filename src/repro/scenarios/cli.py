@@ -11,6 +11,7 @@ Options:
                      default: all of ERGO, CCOM, SybilControl, REMP, Null)
     --seed N         run seed (default 2021); per-point seeds derive from it
     --t-rate T       override every scenario's adversary spend rate
+                     (>= 0; 0 runs without an adversary)
     --n0-scale X     scale initial populations (and everything derived)
     --quick          preset: --n0-scale 0.25 (the CI smoke scale)
     --jobs N         worker processes (default: all cores)
@@ -202,6 +203,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit(f"unknown option(s): {', '.join(unknown_flags)}")
     if n0_scale is not None and n0_scale <= 0:
         raise SystemExit(f"--n0-scale must be > 0, got {n0_scale:g}")
+    if t_rate is not None and not t_rate >= 0:
+        raise SystemExit(f"--t-rate must be >= 0, got {t_rate:g}")
     if snap_interval is not None:
         if not progress:
             raise SystemExit("--snapshot-interval requires --progress")

@@ -95,7 +95,9 @@ class CompiledScenario:
         summary of a million-event replay costs one bounded-memory pass
         over the file, not a materialization.  Compiled block streams
         are globally time-sorted (``_check_sorted``), which the peak
-        join rate (max joins in any 1-second bin) relies on.
+        join rate (max joins in any 1-second bin) relies on.  A run
+        needs no second pass: :func:`repro.scenarios.run.run_spec_point`
+        folds the same statistics from the blocks the engine pulls.
         """
         stats = trace_stats(self.iter_blocks())
         return {

@@ -26,6 +26,7 @@ from repro.adversary.strategies import BurstyJoinAdversary, GreedyJoinAdversary
 from repro.baselines.ccom import CCom
 from repro.baselines.remp import Remp
 from repro.baselines.sybilcontrol import SybilControl
+from repro.churn.traces import TraceStatsFold
 from repro.core.ergo import Ergo, ErgoConfig
 from repro.core.protocol import Defense
 from repro.experiments.config import KAPPA
@@ -126,7 +127,10 @@ def run_spec_point(
     benchmarks and equivalence tests hand it unregistered specs.  The
     compiled churn is consumed through
     :meth:`~repro.scenarios.compile.CompiledScenario.iter_blocks`, so
-    streaming ``TraceReplay`` phases flow to the engine lazily.
+    streaming ``TraceReplay`` phases flow to the engine lazily.  The
+    row's workload shape is folded from the blocks as the engine pulls
+    them, and then from any it left unread, so a replay reads its
+    trace file once.
 
     ``snapshot_policy`` + ``on_snapshot`` turn on the engine's
     incremental telemetry; ``profile`` turns on span-level cost
@@ -142,6 +146,8 @@ def run_spec_point(
     adversary = build_adversary(
         spec.attack, point.t_rate, defense, compiled.horizon
     )
+    shape = TraceStatsFold()
+    churn = shape.observe(compiled.iter_blocks())
     sim = Simulation(
         SimulationConfig(
             horizon=compiled.horizon,
@@ -149,7 +155,7 @@ def run_spec_point(
             snapshots=snapshot_policy,
         ),
         defense,
-        compiled.iter_blocks(),
+        churn,
         adversary=adversary,
         rngs=rngs,
         initial_members=compiled.initial,
@@ -161,10 +167,11 @@ def run_spec_point(
     if profiler is not None:
         profiler.instrument(sim)
     result = sim.run()
+    for _ in churn:
+        pass  # fold the blocks past the horizon the engine never pulled
     counters = result.counters
     joins = counters.get("good_join_events", 0)
     fast_joins = counters.get("good_joins_fast", 0)
-    shape = compiled.summary()
     row = {
         "scenario": point.scenario,
         "defense": point.defense,
@@ -172,12 +179,12 @@ def run_spec_point(
         "t_rate": point.t_rate,
         "n0_scale": point.n0_scale,
         "horizon": compiled.horizon,
-        "initial_members": shape["initial_members"],
+        "initial_members": len(compiled.initial),
         "good_joins": joins,
         "good_departures": counters.get("good_departure_events", 0),
         "bad_departures": counters.get("bad_departure_events", 0),
         "sybil_withdrawals": counters.get("sybil_withdrawals", 0),
-        "peak_join_rate": shape["peak_join_rate"],
+        "peak_join_rate": shape.result().peak_joins_1s,
         "good_spend": result.good_spend,
         "good_spend_rate": result.good_spend_rate,
         "adversary_spend": result.adversary_spend,
@@ -188,7 +195,7 @@ def run_spec_point(
         "churn_events_fast": counters.get("churn_events_fast", 0),
         "churn_events_heap": counters.get("churn_events_heap", 0),
         "queue_max_size": counters.get("queue_max_size", 0),
-        "compile_warnings": shape["warnings"],
+        "compile_warnings": list(compiled.warnings),
     }
     if profiler is not None:
         # Rides the row itself so the per-point breakdown flows through

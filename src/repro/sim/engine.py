@@ -237,13 +237,12 @@ class Simulation:
         #: per-event good-churn items (see :meth:`_load_next_block`)
         self._churn: Iterator = iter(churn)
         self._churn_done = False
-        #: current block's rows as plain lists + cursor
+        #: the block :meth:`_load_next_block` loaded, as plain lists
         self._block_times: Optional[list] = None
         self._block_kinds: Optional[list] = None
         self._block_sessions: Optional[list] = None
         self._block_deadlines: Optional[list] = None
         self._block_idents: Optional[list] = None
-        self._block_index = 0
         self._initial_members = list(initial_members) if initial_members else []
         #: proposed name -> latest admitted int ident.  Per Section
         #: 2.1.1 every join is issued a fresh unique ident, so a replayed
@@ -264,7 +263,6 @@ class Simulation:
         #: residuals): when that departure fires, the alias entry is
         #: retired too.
         self._alias_owners: dict = {}
-        self._next_sample = 0.0
         #: live-telemetry consumer; see :meth:`_emit_snapshot`
         self.on_snapshot = on_snapshot
         self._snap_seq = 0
@@ -277,8 +275,6 @@ class Simulation:
         #: swaps in timed copies on this instance only: patching ``heapq``
         #: itself would time every run sharing the process.
         self._heap_ops = (heapq.heappush, heapq.heappop, heapq.heappop)
-        #: earliest time another adversary.act() call could matter
-        self._adversary_wake = float("-inf")
         #: event tallies flushed into MetricSet.counters at summarize
         #: time (a plain int increment is much cheaper than a dict-backed
         #: counter bump per event)
@@ -290,6 +286,7 @@ class Simulation:
         #: the join-only subset of the above (scenario summaries report
         #: "fraction of good joins on the fast path")
         self._fast_join_events = 0
+        self._ran = False
         self._handlers: dict = {
             BadDeparture: self._handle_bad_departure,
             BadDepartureBatch: self._handle_bad_departure_batch,
@@ -345,7 +342,6 @@ class Simulation:
                 self._block_sessions = None
                 self._block_deadlines = None
             self._block_idents = block.idents
-            self._block_index = 0
             return True
         self._block_times = None
         self._churn_done = True
@@ -356,6 +352,9 @@ class Simulation:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute the simulation until the horizon and summarize.
+
+        A ``Simulation`` runs once: a second call raises
+        ``RuntimeError``.
 
         **Fast-path equivalence.**  The reference semantics is a naive
         per-event simulation: a churn pump pushes every row due at or
@@ -381,6 +380,11 @@ class Simulation:
         it before the departure was pushed.  Cuts are conservative:
         splitting a batch is always equivalent to the per-event order.
         """
+        if self._ran:
+            raise RuntimeError(
+                "a Simulation runs once; build a new one for another run"
+            )
+        self._ran = True
         config = self.config
         horizon = config.horizon
         sample_interval = config.sample_interval
@@ -397,16 +401,12 @@ class Simulation:
         adversary = self.adversary
         handlers = self._handlers
         resolve = self._handler_for
-        adv_wake = self._adversary_wake if adversary is not None else _INF
-        next_sample = self._next_sample
+        # earliest time another adversary.act() call could matter
+        adv_wake = float("-inf") if adversary is not None else _INF
+        next_sample = 0.0
         now = clock._now
-        bt = self._block_times
-        bk = self._block_kinds
-        bs = self._block_sessions
-        bd = self._block_deadlines
-        bid = self._block_idents
-        bi = self._block_index
-        bn = len(bt) if bt is not None else 0
+        bt = bk = bs = bd = bid = None
+        bi = bn = 0
         aliases = self._trace_aliases
         owners = self._alias_owners
         # Seam bindings: the loop calls these locals instead of chasing
@@ -717,17 +717,8 @@ class Simulation:
         queue.pushes += churn_pushes
         if queue.max_size < max_size:
             queue.max_size = max_size
-        self._block_times = bt
-        self._block_kinds = bk
-        self._block_sessions = bs
-        self._block_deadlines = bd
-        self._block_idents = bid
-        self._block_index = bi
         self._fast_churn_events += fast_events
         self._fast_join_events += fast_joins
-        if adversary is not None:
-            self._adversary_wake = adv_wake
-        self._next_sample = next_sample
         self.clock.advance_to(horizon)
         if adversary is not None and horizon >= adv_wake:
             adv_act(horizon)
@@ -835,9 +826,10 @@ class Simulation:
         meters' totals -- draws no RNG, and records nothing into the
         run's :class:`MetricSet`, so the simulated trajectory (and the
         final metrics JSON) is identical with snapshots on or off.
-        ``events_local``/``fast_local`` count this ``run()`` call; the
-        already-flushed totals from earlier calls are added back for
-        the reported cumulative fields.
+        ``events_local``/``fast_local`` are the loop's running tallies,
+        which it flushes into the queue and the fast-path counter only
+        when it ends; the flushed totals are added back for the reported
+        cumulative fields.
         """
         metrics = self.metrics
         good = metrics.good.total

@@ -45,6 +45,12 @@ def _check_header(header: Optional[List[str]], path) -> None:
         )
 
 
+def _bad_number(path, lineno: int, column: str, cell: str) -> ValueError:
+    return ValueError(
+        f"{path}: line {lineno}: {column} {cell!r} is not a number"
+    )
+
+
 def stream_trace_blocks(
     path: Union[str, Path],
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -83,7 +89,10 @@ def stream_trace_blocks(
                     f"{path}: line {lineno}: expected 4 cells "
                     f"(time,kind,ident,session), got {len(row)}"
                 )
-            t = float(row[0])
+            try:
+                t = float(row[0])
+            except ValueError:
+                raise _bad_number(path, lineno, "time", row[0]) from None
             if t < prev:
                 raise ValueError(
                     f"{path}: line {lineno}: time {t} precedes {prev}; "
@@ -100,7 +109,12 @@ def stream_trace_blocks(
                 kinds.append(JOIN)
                 cell = row[3]
                 if cell:
-                    sessions.append(float(cell))
+                    try:
+                        sessions.append(float(cell))
+                    except ValueError:
+                        raise _bad_number(
+                            path, lineno, "session", cell
+                        ) from None
                     any_session = True
                 else:
                     sessions.append(_NAN)
@@ -144,9 +158,12 @@ def peek_trace_origin(path: Union[str, Path]) -> Optional[float]:
     with open_trace_text(path) as handle:
         reader = csv.reader(handle)
         _check_header(next(reader, None), path)
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if row:
-                return float(row[0])
+                try:
+                    return float(row[0])
+                except ValueError:
+                    raise _bad_number(path, lineno, "time", row[0]) from None
     return None
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.resilience import BackoffPolicy, retry_call
+from repro.resilience import BackoffPolicy, atomic_tmp_path, retry_call
 from repro.traces.io import CHUNK_BYTES, file_sha256
 from repro.traces.synthetic import SyntheticFlapSpec, write_flap_csv
 
@@ -178,13 +178,6 @@ def _verify_sha256(path: Path, expected: Optional[str], label: str) -> None:
     _VERIFIED[key] = (stat.st_mtime_ns, stat.st_size)
 
 
-def _atomic_tmp(target: Path) -> Path:
-    # The temp name keeps the target's full name as its suffix so
-    # compression-by-suffix writers treat both paths identically.
-    target.parent.mkdir(parents=True, exist_ok=True)
-    return target.with_name(f".tmp{os.getpid()}.{target.name}")
-
-
 #: Socket timeout for downloads; turns a stalled host into a clean,
 #: retryable error instead of a forever-hung fetch.
 DOWNLOAD_TIMEOUT_S = 60.0
@@ -205,7 +198,7 @@ def _transient_download_error(exc: BaseException) -> bool:
 
 def _download_once(url: str, target: Path) -> None:
     """Stream ``url`` to ``target`` atomically (bounded memory)."""
-    tmp = _atomic_tmp(target)
+    tmp = atomic_tmp_path(target)
     try:
         with urllib.request.urlopen(
             url, timeout=DOWNLOAD_TIMEOUT_S
@@ -235,16 +228,6 @@ def _download(url: str, target: Path) -> None:
         should_retry=_transient_download_error,
         key=url,
     )
-
-
-def _generate_synthetic(spec: SyntheticFlapSpec, target: Path) -> None:
-    tmp = _atomic_tmp(target)
-    try:
-        write_flap_csv(tmp, spec)
-        os.replace(tmp, target)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def _fetch_hint(name: str) -> str:
@@ -293,7 +276,7 @@ def fetch_trace(
             # missing_ok: a concurrent worker may have discarded it too.
             path.unlink(missing_ok=True)
     if source.synthetic is not None:
-        _generate_synthetic(source.synthetic, path)
+        write_flap_csv(path, source.synthetic)
     else:
         if not allow_network:
             raise FileNotFoundError(

@@ -18,24 +18,31 @@ and measured traces identically.
 Generation is a single time-ordered merge over per-relay state machines
 (one pending event per relay in a heap), so traces of any length are
 produced in ``O(relays)`` memory and can be written straight to a
-gzipped CSV.  A ``(spec)`` pair is fully deterministic: the same spec
-always yields byte-identical files, which is what lets synthetic
-registry entries be (re)generated on demand in any process.
+gzipped CSV.  Each row's work is done once: random draws come from
+numpy in chunks, each relay's CSV ident cell is escaped once, and rows
+are written in joined chunks.  Generation is fully deterministic: the same
+spec always yields the same rows, and
+:func:`~repro.traces.io.write_trace_text` (a fixed gzip level, no file
+name or mtime in the header) turns them into byte-identical files in
+any process, which is what lets synthetic registry entries be
+(re)generated on demand anywhere and pinned by SHA-256.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.sim.blocks import DEPART, JOIN, ChurnBlock
-from repro.traces.io import TRACE_CSV_HEADER, open_trace_text
+from repro.traces.io import TRACE_CSV_HEADER, write_trace_text
 
 
 @dataclass(frozen=True)
@@ -80,47 +87,75 @@ class SyntheticFlapSpec:
         return int(2 * self.relays * self.duration / cycle)
 
 
+#: Standard exponentials drawn per numpy call.
+DRAW_CHUNK = 4096
+
+#: Rows formatted per write of :func:`write_flap_csv`: enough to
+#: amortize the write call, few enough that the formatted chunk keeps
+#: generation's peak memory near the heap's own.
+ROWS_PER_WRITE = 1024
+
+
+def _relay_idents(spec: SyntheticFlapSpec) -> List[str]:
+    width = len(str(max(spec.relays - 1, 1)))
+    return [f"{spec.ident_prefix}-{i:0{width}d}" for i in range(spec.relays)]
+
+
+def _flap_events(spec: SyntheticFlapSpec) -> Iterator[Tuple[float, int, int]]:
+    """Yield ``(time, relay index, kind)`` rows in global time order.
+
+    Memory is ``O(relays)``: a heap holds exactly one pending event per
+    relay, and each emitted row is replaced by that relay's next event.
+    Every draw is one standard exponential ``E``: numpy's
+    ``exponential(s)`` is ``s * E`` and its ``weibull(a)`` is
+    ``E ** (1 / a)``, so drawing ``E`` in chunks of :data:`DRAW_CHUNK`
+    gives the scalar calls' values bit for bit, in the same order.
+    """
+    rng = np.random.default_rng(spec.seed)
+
+    def exponentials() -> Iterator[float]:
+        while True:
+            yield from rng.standard_exponential(DRAW_CHUNK).tolist()
+
+    draw = exponentials().__next__
+    # Weibull scale solved from the mean: E[X] = scale * Gamma(1 + 1/k).
+    up_scale = spec.mean_uptime / math.gamma(1.0 + 1.0 / spec.uptime_shape)
+    up_power = 1.0 / spec.uptime_shape
+    mean_down = spec.mean_downtime
+    amplitude = spec.diurnal_amplitude
+    omega = 2.0 * math.pi / spec.diurnal_period
+    sin = math.sin
+
+    # Every relay starts down; its first join is one downtime away (the
+    # diurnal factor is 1 at t = 0).  A downtime's mean is divided by
+    # the diurnal factor at its start.  The heap entry is the emitted
+    # row; the relay index breaks float ties deterministically, and a
+    # relay never has two pending events, so `kind` is never compared.
+    heap = [(mean_down * draw(), i, JOIN) for i in range(spec.relays)]
+    heapq.heapify(heap)
+    replace = heapq.heapreplace
+    duration = spec.duration
+    while True:
+        row = heap[0]
+        t, i, kind = row
+        if t > duration:
+            # The heap is time-ordered: everything left is later still.
+            return
+        yield row
+        if kind == JOIN:
+            replace(heap, (t + draw() ** up_power * up_scale, i, DEPART))
+        else:
+            factor = 1.0 + amplitude * sin(omega * t)
+            replace(heap, (t + mean_down / factor * draw(), i, JOIN))
+
+
 def synthetic_flap_rows(
     spec: SyntheticFlapSpec,
 ) -> Iterator[Tuple[float, int, str]]:
-    """Yield ``(time, kind, ident)`` rows in global time order.
-
-    Memory is ``O(relays)``: a heap holds exactly one pending event per
-    relay, and rows stream out as they are popped.
-    """
-    rng = np.random.default_rng(spec.seed)
-    exponential = rng.exponential
-    weibull = rng.weibull
-    # Weibull scale solved from the mean: E[X] = scale * Gamma(1 + 1/k).
-    up_scale = spec.mean_uptime / math.gamma(1.0 + 1.0 / spec.uptime_shape)
-    amplitude = spec.diurnal_amplitude
-    omega = 2.0 * math.pi / spec.diurnal_period
-    width = len(str(max(spec.relays - 1, 1)))
-    idents = [f"{spec.ident_prefix}-{i:0{width}d}" for i in range(spec.relays)]
-
-    def downtime(now: float) -> float:
-        factor = 1.0 + amplitude * math.sin(omega * now)
-        return exponential(spec.mean_downtime / factor)
-
-    # Every relay starts down; its first join is one (modulated)
-    # downtime draw away.  The heap entry is (time, relay, kind); the
-    # relay index breaks float ties deterministically, and a relay never
-    # has two pending events, so `kind` is never compared.
-    heap = [(downtime(0.0), i, JOIN) for i in range(spec.relays)]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    duration = spec.duration
-    while heap:
-        t, i, kind = pop(heap)
-        if t > duration:
-            # The heap is time-ordered: everything left is later still.
-            break
-        yield t, kind, idents[i]
-        if kind == JOIN:
-            push(heap, (t + weibull(spec.uptime_shape) * up_scale, i, DEPART))
-        else:
-            push(heap, (t + downtime(t), i, JOIN))
+    """Yield ``(time, kind, ident)`` rows in global time order."""
+    idents = _relay_idents(spec)
+    for t, relay, kind in _flap_events(spec):
+        yield t, kind, idents[relay]
 
 
 def synthetic_flap_blocks(
@@ -144,17 +179,34 @@ def synthetic_flap_blocks(
 
 
 def write_flap_csv(path: Union[str, Path], spec: SyntheticFlapSpec) -> int:
-    """Stream a generated trace to ``path`` (gzipped iff ``.gz``).
+    """Generate a trace into ``path`` (gzipped iff ``.gz``); returns the
+    row count.
 
-    Rows are written in the :data:`~repro.traces.io.TRACE_CSV_HEADER`
-    format with empty session cells; returns the row count.
+    Rows are in the :data:`~repro.traces.io.TRACE_CSV_HEADER` format
+    with empty session cells, exactly as :mod:`csv` writes them; each
+    relay's ident cell is escaped once.  The write is atomic and its
+    bytes are a function of ``spec`` alone
+    (:func:`~repro.traces.io.write_trace_text`).
     """
+    buf = io.StringIO()
+    writerow = csv.writer(buf, lineterminator="").writerow
+    cells = []
+    for ident in _relay_idents(spec):
+        writerow((ident,))
+        cells.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    names = {JOIN: "join", DEPART: "depart"}
+    rows = _flap_events(spec)
     count = 0
-    with open_trace_text(path, "wt") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_CSV_HEADER)
-        kind_name = {JOIN: "join", DEPART: "depart"}
-        for t, kind, ident in synthetic_flap_rows(spec):
-            writer.writerow([f"{t:.6f}", kind_name[kind], ident, ""])
-            count += 1
-    return count
+    with write_trace_text(path) as out:
+        csv.writer(out).writerow(TRACE_CSV_HEADER)
+        while True:
+            chunk = [
+                f"{t:.6f},{names[kind]},{cells[relay]},\r\n"
+                for t, relay, kind in islice(rows, ROWS_PER_WRITE)
+            ]
+            if not chunk:
+                return count
+            out.write("".join(chunk))
+            count += len(chunk)

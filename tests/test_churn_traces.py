@@ -5,6 +5,7 @@ import pytest
 from repro.churn.traces import (
     ChurnScenario,
     InitialMember,
+    TraceStatsFold,
     save_trace_csv,
     trace_stats,
 )
@@ -96,6 +97,15 @@ class TestBlockVectorizedStats:
         assert from_blocks.mean_session == pytest.approx(
             from_events.mean_session
         )
+
+    def test_observe_plus_drain_folds_the_whole_stream(self):
+        blocks = [self._block(), *sample_blocks()]
+        fold = TraceStatsFold()
+        stream = fold.observe(blocks)
+        next(stream)  # a consumer that stops after one block...
+        for _ in stream:  # ...and the drain after it
+            pass
+        assert fold.result() == trace_stats(blocks)
 
     def test_mixed_blocks_and_events(self):
         # Hand-written events join a block stream once packed.

@@ -13,6 +13,7 @@ built on top are checked against the per-event reference engine in
 import numpy as np
 import pytest
 
+from repro.identity import membership
 from repro.identity.membership import (
     ArenaMembershipSet,
     SymmetricDifferenceTracker,
@@ -136,6 +137,29 @@ FIXED_SCRIPTS = {
         ("remove", [2, 2, 1]),
         ("add", [4]),
     ],
+    # Both columns are paged 8192 entries to a page: runs that start
+    # and end on different pages, and holes on one page filled from a
+    # tail on the next.
+    "runs-and-swaps-across-pages": [
+        ("add", range(1, 8190)),
+        ("reset", None),
+        ("add", range(8190, 8200)),
+        ("add", range(8200, 8203)),
+        ("remove", [1, 8199, 8192, 5000, 0]),
+        ("add", [8203, 8204]),
+        ("remove", [8202, 8204, 2, 8191]),
+        ("add", range(8205, 8215)),
+    ],
+    # Grow onto a third page, then shrink back below one page by
+    # removing from both ends, and refill across the boundary.
+    "shrink-across-pages-then-refill": [
+        ("add", range(1, 16500)),
+        ("reset", None),
+        ("remove", list(range(1, 9000, 2)) + list(range(16499, 12000, -1))),
+        ("add", range(16500, 16530)),
+        ("remove", list(range(2, 7000, 2))),
+        ("add", range(16530, 25000)),
+    ],
 }
 
 SCRIPTS = [pytest.param(random_script(seed), id=str(seed)) for seed in range(20)]
@@ -202,11 +226,42 @@ class TestScriptEquivalence:
         assert m.good_ids() == [3, 4, 12, 10]
         assert m.sym_diff("t") == 1
 
+    def test_gap_spanning_pages_reads_as_absent(self):
+        m = ArenaMembershipSet()
+        m.add_batch(range(1, 3))
+        m.add(20000)
+        m.add_batch([20001, 30000])
+        probes = (2, 3, 8191, 8192, 16384, 19999, 20000, 20001, 29999, 30000, 30001)
+        assert [i for i in probes if i in m] == [2, 20000, 20001, 30000]
+        assert m.discard(16384) is False
+        assert m.remove_batch([20000, 1, 24576]) == 2
+        assert m.good_ids() == [20001, 2, 30000]
+        assert m.last_serial == 30000
+
     def test_remove_batch_returns_removed_count(self):
         m = ArenaMembershipSet()
         m.add_batch([1, 2, 3])
         assert m.remove_batch([1, 99, 3]) == 2
         assert m.good_ids() == [2]
+
+    def test_column_pages_keep_one_size(self):
+        # A page is allocated once and never resized, so the C
+        # allocator never copies a column (see ArenaMembershipSet).
+        script = FIXED_SCRIPTS["shrink-across-pages-then-refill"]
+        for batched in (False, True):
+            m = ArenaMembershipSet()
+            for op, payload in script:
+                if op == "add":
+                    if batched:
+                        m.add_batch(payload)
+                    else:
+                        for ident in payload:
+                            m.add(ident)
+                elif op == "remove":
+                    m.remove_batch(payload)
+            for column in (m._members, m._pos):
+                assert {len(page) for page in column} == {membership._PAGE}
+            assert len(m._pos) == m.last_serial // membership._PAGE + 1
 
     def test_discard_matches_remove(self):
         m = ArenaMembershipSet()

@@ -20,17 +20,18 @@ N = 100_000
 #: engine-realistic join run length on a flash crowd
 RUN = 32
 
-#: The integer table measures ~16.5 B/member on CPython 3.11: one raw
-#: int64 in the member column and one in the position map, plus array
-#: over-allocation.  The string-keyed table it replaced (a dict entry
-#: and boxed position, a list pointer, a raw serial) measured ~87 B, the
-#: slot arena before it ~113 B and its boxed-list layout ~218 B.
+#: The integer table measures ~17.2 B/member on CPython 3.11: one raw
+#: int64 in the member column and one in the position map, each rounded
+#: up to a whole 64 KiB page.  The string-keyed table it replaced (a
+#: dict entry and boxed position, a list pointer, a raw serial) measured
+#: ~87 B, the slot arena before it ~113 B and its boxed-list layout
+#: ~218 B.
 ARENA_BYTES_PER_MEMBER = 24
 
 #: After N joins and N - 1,000 departures the position map still holds
 #: one int64 per join ever made and the member column keeps its peak
-#: capacity (arrays do not shrink on pop): ~16.5 B per join on CPython
-#: 3.11, against ~47 B for the string-keyed table.
+#: pages: ~17.2 B per join on CPython 3.11, against ~47 B for the
+#: string-keyed table.
 CHURNED_BYTES_PER_JOIN = 20
 
 

@@ -388,6 +388,7 @@ class TestCli:
             ("--top", "0", "--top must be >= 1, got 0"),
             ("--top", "-2", "--top must be >= 1, got -2"),
             ("--n0-scale", "-1", "--n0-scale must be > 0, got -1"),
+            ("--t-rate", "-5", "--t-rate must be >= 0, got -5"),
         ],
     )
     def test_out_of_range_option_exits_before_running(

@@ -8,11 +8,13 @@ from repro.scenarios.compile import compile_scenario
 from repro.scenarios.run import (
     SCENARIO_DEFENSES,
     build_defense,
+    build_points,
     report_json,
     run_catalog,
     run_scenario_point,
 )
 from repro.scenarios.spec import ScenarioSpec, SteadyState
+from repro.sim.rng import RngRegistry
 
 #: The catalog shapes the ISSUE names; the catalog may grow beyond them.
 EXPECTED_NAMES = {
@@ -103,6 +105,24 @@ class TestRuns:
         # The scheduled exodus drains the flooded Sybil population in
         # four heap entries, not one per ID.
         assert row["bad_departures"] > 100
+
+    def test_row_workload_shape_matches_compiled_summary(self):
+        # The row folds its shape from the engine's own pass over the
+        # churn; a separate summary pass must read the same numbers.
+        points = build_points(scenario_names(), ["Null"], seed=6, n0_scale=0.25)
+        assert len(points) == len(CATALOG)
+        for point in points:
+            row = run_scenario_point(point)
+            spec = get_scenario(point.scenario)
+            compiled = compile_scenario(
+                spec,
+                RngRegistry(seed=point.seed).stream(f"scenario.{spec.name}"),
+                n0_scale=point.n0_scale,
+            )
+            summary = compiled.summary()
+            assert row["peak_join_rate"] == summary["peak_join_rate"], spec.name
+            assert row["initial_members"] == summary["initial_members"]
+            assert row["compile_warnings"] == summary["warnings"]
 
     def test_custom_registered_scenario_runs(self):
         spec = ScenarioSpec(

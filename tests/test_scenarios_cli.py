@@ -65,6 +65,8 @@ def test_non_numeric_option_exits_before_running(monkeypatch, flag, value, noun)
     [
         (["--n0-scale", "-1"], "--n0-scale must be > 0, got -1"),
         (["--snapshot-interval", "5"], "--snapshot-interval requires --progress"),
+        (["--t-rate", "-5"], "--t-rate must be >= 0, got -5"),
+        (["--t-rate", "nan"], "--t-rate must be >= 0, got nan"),
     ],
 )
 def test_bad_option_value_exits_before_running(monkeypatch, args, message):
@@ -73,6 +75,21 @@ def test_bad_option_value_exits_before_running(monkeypatch, args, message):
     )
     with pytest.raises(SystemExit, match=re.escape(message)):
         main(["run", "flash-crowd"] + args)
+
+
+def test_zero_t_rate_runs_without_an_adversary(tmp_path, _redirect_results):
+    json_path = tmp_path / "out.json"
+    code = main(
+        [
+            "run", "flash-crowd", "--defense", "Null", "--quick",
+            "--t-rate", "0", "--jobs", "1", "--json", str(json_path),
+        ]
+    )
+    assert code == 0
+    (row,) = json.loads(json_path.read_text())["rows"]
+    assert row["t_rate"] == 0.0
+    assert row["adversary_spend"] == 0.0
+    assert row["good_joins"] > 0
 
 
 def test_unknown_defense_fails_fast():

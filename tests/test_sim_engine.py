@@ -209,6 +209,19 @@ class TestSimulation:
         assert defense.departures == [(2.0, 1), (4.0, 2)]
         assert result.final_system_size == 0
 
+    def test_runs_once(self):
+        initial = [InitialMember(ident="a", residual=None)]
+        sim, defense = self._build(
+            [GoodJoin(time=1.0)], horizon=5.0, initial=initial, tick=1.0
+        )
+        first = sim.run()
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
+        # The refused call bootstrapped nothing and re-armed no tick.
+        assert defense.system_size() == first.final_system_size == 2
+        assert defense.ticks == 5
+        assert len(sim.queue) == 0
+
     def test_result_rates(self):
         events = [GoodJoin(time=1.0)]
         sim, defense = self._build(events, horizon=10.0)

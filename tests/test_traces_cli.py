@@ -79,6 +79,28 @@ def test_convert_gz_round_trip(capsys, cache_dir, tmp_path):
     assert [e.time for e in load_trace_events(again)] == [e.time for e in events]
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_convert_failing_mid_stream_leaves_no_torn_target(
+    cache_dir, tmp_path, existing
+):
+    # More rows than one reader block, then a regression: the reader
+    # raises after the writer has already taken a full block.
+    rows = [f"{t}.0,join,r{t},\n" for t in range(5000)] + ["1.0,join,late,\n"]
+    src = tmp_path / "bad.csv"
+    src.write_text("time,kind,ident,session\n" + "".join(rows))
+    dst = tmp_path / "out" / "copy.csv.gz"
+    dst.parent.mkdir()
+    if existing:
+        dst.write_bytes(b"previous")
+    with pytest.raises(SystemExit, match="line 5002.*time-sorted"):
+        main(["convert", str(src), str(dst)])
+    if existing:
+        assert dst.read_bytes() == b"previous"
+    assert [p.name for p in dst.parent.iterdir()] == (
+        ["copy.csv.gz"] if existing else []
+    )
+
+
 def test_convert_requires_src_and_dst(cache_dir):
     with pytest.raises(SystemExit, match="convert requires"):
         main(["convert", "only-one"])

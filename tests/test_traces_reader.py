@@ -115,6 +115,27 @@ class TestReaderContract:
         with pytest.raises(ValueError, match="unknown event kind"):
             list(stream_trace_blocks(path))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("abc,join,a,", "line 3: time 'abc' is not a number"),
+            ("2.0,join,a,soon", "line 3: session 'soon' is not a number"),
+        ],
+    )
+    def test_non_numeric_cell_raises_with_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,kind,ident,session\n1.0,join,a,\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+            list(stream_trace_blocks(path))
+
+    def test_non_numeric_origin_raises_with_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,kind,ident,session\n\nt0,join,a,\n")
+        with pytest.raises(
+            ValueError, match="bad.csv: line 3: time 't0' is not a number"
+        ):
+            peek_trace_origin(path)
+
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,k,i,s\n1.0,join,a,\n")

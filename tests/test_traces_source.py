@@ -1,5 +1,7 @@
 """Trace sources: registry, cache, offline fetch with SHA-256 verify."""
 
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from repro.traces.source import (
     trace_cache_dir,
     trace_source_names,
 )
-from repro.traces.synthetic import SyntheticFlapSpec
+from repro.traces.synthetic import SyntheticFlapSpec, write_flap_csv
 
 
 @pytest.fixture
@@ -110,6 +112,43 @@ class TestSynthetic:
         again = file_sha256(fetch_trace("tiny-flap"))
         forced = file_sha256(fetch_trace("tiny-flap", force=True))
         assert first == again == forced
+
+    def test_threads_generating_one_source_leave_one_whole_file(
+        self, cache_dir, tmp_path
+    ):
+        # Service jobs run in threads of one process: each write needs
+        # its own temp file, or the threads interleave into one.
+        spec = SyntheticFlapSpec(
+            relays=300, duration=600.0, seed=8, mean_uptime=20.0,
+            mean_downtime=10.0, diurnal_period=600.0,
+        )
+        write_flap_csv(tmp_path / "reference.csv.gz", spec)
+        register_trace(
+            TraceSource(name="threaded-flap", synthetic=spec), replace=True
+        )
+        errors = []
+
+        def fetch():
+            try:
+                fetch_trace("threaded-flap", force=True)
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fetch) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        path = get_trace_source("threaded-flap").cached_path()
+        assert path.read_bytes() == (tmp_path / "reference.csv.gz").read_bytes()
+        assert [p.name for p in cache_dir.iterdir()] == [path.name]
 
     def test_sha_pin_enforced(self, cache_dir):
         source = register_trace(

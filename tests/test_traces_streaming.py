@@ -13,6 +13,7 @@ from repro.scenarios.spec import (
     TraceReplay,
 )
 from repro.sim.blocks import ChurnBlock
+from repro.sim.rng import RngRegistry
 from repro.traces.reader import TraceBlockStream
 
 
@@ -60,6 +61,32 @@ class TestLazyCompilation:
         )
         compiled = compile_scenario(spec, np.random.default_rng(1))
         assert compiled.warnings == []
+
+
+class TestSinglePass:
+    def test_run_spec_point_streams_the_trace_once(self, monkeypatch):
+        from repro.traces import reader
+
+        calls = []
+        stream = reader.stream_trace_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return stream(*args, **kwargs)
+
+        monkeypatch.setattr(reader, "stream_trace_blocks", counting)
+        spec = _tor_spec()
+        point = ScenarioPointSpec(
+            scenario=spec.name, defense="Null", seed=4, t_rate=0.0
+        )
+        row = run_spec_point(spec, point)
+        assert len(calls) == 1
+        compiled = compile_scenario(
+            spec, RngRegistry(seed=point.seed).stream(f"scenario.{spec.name}")
+        )
+        summary = compiled.summary()
+        assert row["peak_join_rate"] == summary["peak_join_rate"] > 0
+        assert row["initial_members"] == summary["initial_members"]
 
 
 class TestUnsortedTrace:

@@ -1,9 +1,15 @@
 """Synthetic consensus-flap generator: determinism, shape, validity."""
 
+import gzip
+import hashlib
+import os
+import time
+
 import pytest
 
 from repro.sim.blocks import DEPART, JOIN
 from repro.traces.reader import stream_trace_blocks
+from repro.traces.source import get_trace_source
 from repro.traces.synthetic import (
     SyntheticFlapSpec,
     synthetic_flap_blocks,
@@ -80,6 +86,64 @@ class TestBlocksAndCsv:
             assert t == pytest.approx(et, abs=1e-6)  # 6-decimal CSV times
             assert k == ek
             assert i == ei
+
+
+#: SHA-256 of the decompressed text of generated traces, recorded with
+#: one numpy call per draw and one ``csv.writer`` row per trace row:
+#: chunked draws and once-escaped ident cells must not move a byte.
+GOLDEN_TEXT_SHA256 = {
+    "synthetic-flap-ci": (
+        "f430f594c13a8aeac7ae9dbee614800573a7b32b30570b3fa20e22bc22fbb9c3"
+    ),
+    # an ident prefix the csv module must quote and escape
+    "quoted-prefix": (
+        "08887146f006ae57c6a2d76194380986cee23db1ee094ab64a8911555c5704f7"
+    ),
+}
+
+QUOTED_SPEC = SyntheticFlapSpec(
+    relays=12, duration=90.0, seed=3, mean_uptime=10.0, mean_downtime=5.0,
+    diurnal_period=90.0, ident_prefix='a,"b',
+)
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("synthetic-flap-ci", get_trace_source("synthetic-flap-ci").synthetic),
+            ("quoted-prefix", QUOTED_SPEC),
+        ],
+    )
+    def test_decompressed_text_is_pinned(self, tmp_path, name, spec):
+        path = tmp_path / "flap.csv.gz"
+        write_flap_csv(path, spec)
+        text = gzip.decompress(path.read_bytes())
+        assert hashlib.sha256(text).hexdigest() == GOLDEN_TEXT_SHA256[name]
+
+    def test_quoted_ident_reads_back(self, tmp_path):
+        path = tmp_path / "flap.csv"
+        write_flap_csv(path, QUOTED_SPEC)
+        read = [i for block in stream_trace_blocks(path) for i in block.idents]
+        assert read == [i for _, _, i in synthetic_flap_rows(QUOTED_SPEC)]
+        assert read[0].startswith('a,"b-')
+
+    def test_gzip_bytes_ignore_temp_name_and_clock(self, tmp_path, monkeypatch):
+        out = []
+        for run, clock in enumerate((1.0e9, 2.0e9)):
+            target = tmp_path / f"run{run}" / "flap.csv.gz"
+            target.parent.mkdir()
+            # Temp files are named by pid (and thread): two processes
+            # write under two names, at two wall-clock times.
+            monkeypatch.setattr(os, "getpid", lambda run=run: 1000 + run)
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            write_flap_csv(target, SPEC)
+            out.append(target.read_bytes())
+            assert [p.name for p in target.parent.iterdir()] == ["flap.csv.gz"]
+        assert out[0] == out[1]
+        # gzip header: no FLG.FNAME (no name stored), zero MTIME.
+        assert out[0][3] == 0
+        assert out[0][4:8] == bytes(4)
 
 
 class TestValidation:
