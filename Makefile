@@ -24,9 +24,11 @@ lint:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The CI smoke run: quick Figure 8 sweep through the parallel executor.
+# The CI smoke run: every paper experiment (figures 8-10, lower bound,
+# committee, ablations, sensitivity) at quick scale through the
+# parallel executor.
 smoke:
-	$(call no-traceback,$(PYTHON) -m repro figure8 --quick --jobs 2)
+	$(call no-traceback,$(PYTHON) -m repro all --quick --jobs 2)
 
 # Scenario-catalog smoke: every catalog scenario under every defense at
 # small scale (deterministic metrics JSON lands in results/).

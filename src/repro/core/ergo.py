@@ -133,20 +133,11 @@ class Ergo(Defense):
         self.goodjest.initialize(
             self.now, initialization_duration=self.config.initialization_duration
         )
-        # max_width bounds how far a later estimate revision can widen
-        # the window (1/J̃ is capped at max_window_width), which lets the
-        # counter prune batches no representable window can reach while
-        # still re-admitting aged batches on widening.
-        self._window = SlidingWindowCounter(
-            self._window_width(), max_width=self.config.max_window_width
-        )
+        self._window = SlidingWindowCounter(self._window_width())
         self._start_iteration(self.now)
 
     def _window_width(self) -> float:
-        estimate = self.goodjest.estimate
-        if estimate <= 0:
-            return self.config.max_window_width
-        return min(1.0 / estimate, self.config.max_window_width)
+        return min(1.0 / self.goodjest.estimate, self.config.max_window_width)
 
     def _start_iteration(self, now: float) -> None:
         self._iter_start_time = now
@@ -224,7 +215,6 @@ class Ergo(Defense):
             return super().process_good_join_batch(times, idents)
         n = len(times)
         clock = self.sim.clock
-        window = self._window
         goodjest = self.goodjest
         accountant = self.accountant
         add_batch = self.population.good.add_batch
@@ -255,14 +245,8 @@ class Ergo(Defense):
                 last_t = chunk[-1]
                 clock._now = last_t
                 if until_jest == 0:
-                    if goodjest.on_event(last_t):
-                        window.set_width(self._window_width())
-                        if self.tracer.enabled:
-                            self.tracer.emit(
-                                last_t,
-                                "estimate_update",
-                                estimate=goodjest.estimate,
-                            )
+                    if goodjest.on_event(last_t) and not goodjest.has_pending_update:
+                        self._estimate_moved(last_t)
                     until_jest = goodjest.joins_until_update()
                 if until_purge == 0:
                     self._maybe_purge(last_t)
@@ -317,14 +301,11 @@ class Ergo(Defense):
                     last_t = times[i - 1]
                     clock._now = last_t
                     if until_jest == 0:
-                        if goodjest.on_event(last_t):
-                            self._window.set_width(self._window_width())
-                            if self.tracer.enabled:
-                                self.tracer.emit(
-                                    last_t,
-                                    "estimate_update",
-                                    estimate=goodjest.estimate,
-                                )
+                        if (
+                            goodjest.on_event(last_t)
+                            and not goodjest.has_pending_update
+                        ):
+                            self._estimate_moved(last_t)
                         until_jest = goodjest.departures_until_update_bound()
                     if until_purge == 0:
                         self._maybe_purge(last_t)
@@ -411,13 +392,22 @@ class Ergo(Defense):
             self._joins_in_iter += joins
         self._event_counter += joins + departures
         self._observe_fraction()
-        if self.goodjest.on_event(now):
-            self._window.set_width(self._window_width())
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    now, "estimate_update", estimate=self.goodjest.estimate
-                )
+        goodjest = self.goodjest
+        if goodjest.on_event(now) and not goodjest.has_pending_update:
+            self._estimate_moved(now)
         self._maybe_purge(now)
+
+    def _estimate_moved(self, now: float) -> None:
+        """GoodJEst just changed J̃: the window takes the new 1/J̃.
+
+        Called exactly when J̃ changes -- an ``on_event`` trip that left
+        no update pending, or ``apply_deferred`` after a purge
+        (Heuristic 1) -- so the ``estimate_update`` trace matches
+        ``goodjest.intervals`` one for one.
+        """
+        self._window.set_width(self._window_width())
+        if self.tracer.enabled:
+            self.tracer.emit(now, "estimate_update", estimate=self.goodjest.estimate)
 
     def _iteration_progress(self) -> int:
         if self.config.purge_trigger == "count":
@@ -486,7 +476,7 @@ class Ergo(Defense):
 
     def _finish_iteration(self, now: float) -> None:
         if self.goodjest.apply_deferred(now):
-            self._window.set_width(self._window_width())
+            self._estimate_moved(now)
         if self.config.paranoid:
             from repro.core.defid import check_defid
 

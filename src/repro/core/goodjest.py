@@ -29,6 +29,13 @@ from repro.core.population import SystemPopulation
 #: Interval threshold from Figure 5; see Section 9.3 for why 5/12.
 INTERVAL_THRESHOLD = 5.0 / 12.0
 
+#: Floor on an interval's length and on J̃: an interval that closes at
+#: the instant it opened must not divide by zero or zero the estimate.
+MIN_INTERVAL_LENGTH = 1e-9
+
+#: Trip distance meaning "no run of this kind can trip".
+_NEVER = 1 << 62
+
 
 @dataclass(frozen=True)
 class IntervalRecord:
@@ -50,12 +57,10 @@ class GoodJEst:
         population: SystemPopulation,
         threshold: float = INTERVAL_THRESHOLD,
         defer_updates: bool = False,
-        min_interval_length: float = 1e-9,
     ) -> None:
         self._population = population
         self._threshold = float(threshold)
         self._defer = bool(defer_updates)
-        self._min_len = float(min_interval_length)
         self._estimate: Optional[float] = None
         self._interval_start: Optional[float] = None
         self._pending = False
@@ -76,7 +81,7 @@ class GoodJEst:
         if initialization_duration <= 0:
             raise ValueError("initialization duration must be positive")
         size = self._population.size
-        self._estimate = max(size / initialization_duration, self._min_len)
+        self._estimate = max(size / initialization_duration, MIN_INTERVAL_LENGTH)
         self._interval_start = now
         self._population.reset_combined_tracker(self.TRACKER)
 
@@ -131,29 +136,7 @@ class GoodJEst:
         when no number of joins can trip (deferred update pending, or a
         threshold ≥ 1 never crossed).
         """
-        never = 1 << 62
-        if self._estimate is None:
-            raise RuntimeError("GoodJEst.initialize() was never called")
-        if self._pending:
-            return never
-        diff = self._population.combined_sym_diff(self.TRACKER)
-        size = self._population.size
-        thr = self._threshold
-        if diff + 1 >= thr * (size + 1):
-            return 1
-        if thr >= 1.0:
-            # diff + k - thr*(size + k) is non-increasing in k.
-            return never
-        k = int(math.ceil((thr * size - diff) / (1.0 - thr)))
-        if k < 1:
-            k = 1
-        # The estimate above can be off by an ulp; settle on the exact
-        # first k satisfying the on_event comparison.
-        while diff + k < thr * (size + k):
-            k += 1
-        while k > 1 and diff + (k - 1) >= thr * (size + k - 1):
-            k -= 1
-        return k
+        return self._rows_until_trip(1)
 
     def departures_until_update_bound(self) -> int:
         """A safe lower bound on departures before a trip can occur.
@@ -165,22 +148,36 @@ class GoodJEst:
         Any run shorter than the returned bound cannot trip before its
         final row; the caller re-checks exactly with :meth:`on_event`.
         """
-        never = 1 << 62
+        return self._rows_until_trip(-1)
+
+    def _rows_until_trip(self, step: int) -> int:
+        """Least ``k >= 1`` with ``diff + k >= threshold * (size + step*k)``.
+
+        ``step`` is the size change per row (+1 join, -1 departure).
+        The closed form ``k = ceil((threshold*size - diff) /
+        (1 - step*threshold))`` can be off by an ulp, so the result
+        settles on the exact first ``k`` that satisfies the
+        :meth:`on_event` comparison.
+        """
         if self._estimate is None:
             raise RuntimeError("GoodJEst.initialize() was never called")
         if self._pending:
-            return never
+            return _NEVER
         diff = self._population.combined_sym_diff(self.TRACKER)
         size = self._population.size
         thr = self._threshold
-        if diff + 1 >= thr * (size - 1):
+        if diff + 1 >= thr * (size + step):
             return 1
-        k = int(math.ceil((thr * size - diff) / (1.0 + thr)))
+        divisor = 1.0 - step * thr
+        if divisor <= 0.0:
+            # diff + k - thr*(size + step*k) is non-increasing in k.
+            return _NEVER
+        k = int(math.ceil((thr * size - diff) / divisor))
         if k < 1:
             k = 1
-        while diff + k < thr * (size - k):
+        while diff + k < thr * (size + step * k):
             k += 1
-        while k > 1 and diff + (k - 1) >= thr * (size - (k - 1)):
+        while k > 1 and diff + (k - 1) >= thr * (size + step * (k - 1)):
             k -= 1
         return k
 
@@ -193,9 +190,9 @@ class GoodJEst:
         return True
 
     def _update(self, now: float) -> None:
-        elapsed = max(now - self._interval_start, self._min_len)
+        elapsed = max(now - self._interval_start, MIN_INTERVAL_LENGTH)
         size = self._population.size
-        new_estimate = max(size / elapsed, self._min_len)
+        new_estimate = max(size / elapsed, MIN_INTERVAL_LENGTH)
         self._intervals.append(
             IntervalRecord(
                 start=self._interval_start,

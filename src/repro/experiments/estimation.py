@@ -25,6 +25,9 @@ from repro.core.goodjest import GoodJEst
 from repro.core.protocol import Defense
 from repro.sim.metrics import SlidingWindowCounter
 
+#: Cap on the entrance-window width 1/J̃, as Ergo's default.
+MAX_WINDOW_WIDTH = 1.0e7
+
 
 @dataclass(frozen=True)
 class RatioSample:
@@ -46,20 +49,14 @@ class EstimationHarness(Defense):
 
     name = "GoodJEst-harness"
 
-    def __init__(
-        self,
-        max_window_width: float = 1.0e7,
-        bad_fraction_cap: Optional[float] = None,
-    ) -> None:
+    def __init__(self, bad_fraction_cap: Optional[float] = None) -> None:
         super().__init__()
         self.goodjest = GoodJEst(self.population)
-        self.max_window_width = float(max_window_width)
         #: Theorem 2's precondition: keep the bad fraction below a cap by
         #: trimming the *newest* Sybil IDs (the persistent base stays).
         self.bad_fraction_cap = bad_fraction_cap
         self._window: Optional[SlidingWindowCounter] = None
         self._good_joins_in_interval = 0
-        self._intervals_seen = 0
         self.ratios: List[RatioSample] = []
 
     # ------------------------------------------------------------------
@@ -67,17 +64,10 @@ class EstimationHarness(Defense):
     # ------------------------------------------------------------------
     def after_bootstrap(self, count: int) -> None:
         self.goodjest.initialize(self.now)
-        # Widening (an estimate revised downward) re-admits aged batches
-        # up to max_window_width, which also bounds pruning.
-        self._window = SlidingWindowCounter(
-            self._window_width(), max_width=self.max_window_width
-        )
+        self._window = SlidingWindowCounter(self._window_width())
 
     def _window_width(self) -> float:
-        estimate = self.goodjest.estimate
-        if estimate <= 0:
-            return self.max_window_width
-        return min(1.0 / estimate, self.max_window_width)
+        return min(1.0 / self.goodjest.estimate, MAX_WINDOW_WIDTH)
 
     # ------------------------------------------------------------------
     # events
@@ -89,7 +79,7 @@ class EstimationHarness(Defense):
         unique = self.ids.issue()
         self.population.good_join(unique)
         self._good_joins_in_interval += 1
-        self._after_event(joins=1)
+        self._after_event()
         return unique
 
     def process_good_departure(self, ident: Optional[int] = None) -> Optional[int]:
@@ -97,7 +87,7 @@ class EstimationHarness(Defense):
         if victim is None:
             return None
         self.population.good_depart(victim)
-        self._after_event(joins=0)
+        self._after_event()
         return victim
 
     def force_bad_join(self, count: int) -> None:
@@ -106,7 +96,7 @@ class EstimationHarness(Defense):
             return
         self.population.bad_join(count)
         self._window.record(self.now, count)
-        self._after_event(joins=0)
+        self._after_event()
 
     def process_bad_join_batch(self, budget: float) -> Tuple[int, float]:
         """Attack joins priced by the entrance window (like Ergo)."""
@@ -135,7 +125,7 @@ class EstimationHarness(Defense):
             # The estimator sees the flood at event granularity (an
             # interval can end while the burst is in the system); the
             # persistence cap is enforced only between batches.
-            self._after_event(joins=0)
+            self._after_event()
             self._trim_bad()
         return attempted_total, cost_total
 
@@ -153,7 +143,7 @@ class EstimationHarness(Defense):
     # ------------------------------------------------------------------
     # interval-completion hook: record the estimate/true ratio
     # ------------------------------------------------------------------
-    def _after_event(self, joins: int) -> None:
+    def _after_event(self) -> None:
         self._observe_fraction()
         if not self.goodjest.on_event(self.now):
             return
@@ -168,7 +158,6 @@ class EstimationHarness(Defense):
         if true_rate > 0:
             self.sim.metrics.estimate_ratio.record(interval.end, sample.ratio)
         self._good_joins_in_interval = 0
-        self._intervals_seen += 1
 
     def bootstrap(self, idents) -> range:
         """Initial members join for free (estimation-only harness)."""

@@ -432,10 +432,9 @@ class Simulation:
         # metrics byte-identical with the hook on or off.
         snap_on = config.snapshots is not None and self.on_snapshot is not None
         if snap_on:
-            if self._snap_wall_start is None:
-                # Wall clock feeds only the snapshot telemetry channel
-                # (events/sec); final metrics never read it.
-                self._snap_wall_start = time.perf_counter()  # lint: allow[R001] -- snapshot wall-clock telemetry, never in metrics
+            # Wall clock feeds only the snapshot telemetry channel
+            # (events/sec); final metrics never read it.
+            self._snap_wall_start = time.perf_counter()  # lint: allow[R001] -- snapshot wall-clock telemetry, never in metrics
             snap_next_time = self._snap_last_time + config.snapshots.sim_interval
         else:
             snap_next_time = _INF
@@ -891,17 +890,12 @@ class Simulation:
         counters.add("churn_events_fast", self._fast_churn_events)
         counters.add("churn_events_heap", churn_total - self._fast_churn_events)
         counters.add("good_joins_fast", self._fast_join_events)
-        self._fast_churn_events = 0
-        self._fast_join_events = 0
         if self._good_join_events:
             counters.add("good_join_events", self._good_join_events)
-            self._good_join_events = 0
         if self._good_departure_events:
             counters.add("good_departure_events", self._good_departure_events)
-            self._good_departure_events = 0
         if self._bad_departure_events:
             counters.add("bad_departure_events", self._bad_departure_events)
-            self._bad_departure_events = 0
         counters.add("queue_pushes", self.queue.pushes)
         counters.add("queue_pops", self.queue.pops)
         counters.add("queue_max_size", self.queue.max_size)

@@ -215,35 +215,25 @@ class SlidingWindowCounter:
     re-admits it.  The destructive-eviction layout this replaces
     permanently undercounted after such a widening.  Whole join runs are
     quoted and recorded in one pass by :meth:`quote_record_run` (the
-    engine's block fast path).
-
-    ``max_width`` bounds how far back a future window can ever reach:
-    batches older than ``now - max_width`` may be pruned, and
-    ``set_width`` beyond ``max_width`` is rejected.  ``None`` (the
-    default) keeps every batch until :meth:`clear`.
+    engine's block fast path).  Every batch is kept until :meth:`clear`;
+    Ergo clears at each iteration start, so the history never outgrows
+    one iteration.
     """
 
     #: run length below which the scalar quote loop beats the
     #: vectorized pass (numpy calls have fixed per-call overhead)
     _VECTOR_MIN = 12
 
-    def __init__(self, width: float, max_width: Optional[float] = None) -> None:
+    def __init__(self, width: float) -> None:
         if width <= 0:
             raise ValueError(f"window width must be positive: {width}")
-        if max_width is not None and max_width < width:
-            raise ValueError(
-                f"max_width {max_width} is narrower than the width {width}"
-            )
         self._width = float(width)
-        self._max_width = float(max_width) if max_width is not None else None
         #: batch times (sorted) and prefix sums: ``_cum[i]`` = events in
         #: batches ``[0, i)``; plain lists -- scalar access dominates
         self._t: List[float] = []
         self._cum: List[int] = [0]
         #: index of the first batch inside the last-queried window
         self._cursor = 0
-        #: batches before this index were pruned (beyond ``max_width``)
-        self._head = 0
         #: events are never counted before this time (iteration start)
         self._floor = float("-inf")
 
@@ -251,25 +241,9 @@ class SlidingWindowCounter:
     def width(self) -> float:
         return self._width
 
-    @property
-    def max_width(self) -> Optional[float]:
-        return self._max_width
-
-    @property
-    def _batches(self) -> List[List[float]]:
-        """Live batches as ``[time, count]`` pairs (tests/debugging)."""
-        t = self._t[self._head :]
-        cum = self._cum[self._head :]
-        return [[time, cum[i + 1] - cum[i]] for i, time in enumerate(t)]
-
     def set_width(self, width: float) -> None:
         if width <= 0:
             raise ValueError(f"window width must be positive: {width}")
-        if self._max_width is not None and width > self._max_width:
-            raise ValueError(
-                f"width {width} exceeds max_width {self._max_width}; "
-                "events that far back may already be pruned"
-            )
         self._width = float(width)
 
     def clear(self, now: float) -> None:
@@ -277,25 +251,7 @@ class SlidingWindowCounter:
         self._t = []
         self._cum = [0]
         self._cursor = 0
-        self._head = 0
         self._floor = float(now)
-
-    def _prune(self, now: float) -> None:
-        """Advance past batches no representable window can reach."""
-        horizon = now - self._max_width
-        t = self._t
-        n = len(t)
-        head = self._head
-        while head < n and t[head] <= horizon:
-            head += 1
-        if head > 1024 and head * 2 > n:
-            # Compact the pruned prefix away (amortized O(1) per event).
-            del t[:head]
-            base = self._cum[head]
-            self._cum = [c - base for c in self._cum[head:]]
-            self._cursor = max(self._cursor - head, 0)
-            head = 0
-        self._head = head
 
     def record(self, now: float, count: int = 1) -> None:
         if now < self._floor:
@@ -310,8 +266,6 @@ class SlidingWindowCounter:
             return
         t.append(now)
         self._cum.append(self._cum[-1] + count)
-        if self._max_width is not None:
-            self._prune(now)
 
     def count(self, now: float) -> int:
         """Number of recorded events in ``(now - width, now]``.
@@ -319,18 +273,15 @@ class SlidingWindowCounter:
         Events at exactly ``now - width`` have aged out; events at
         exactly the floor time (recorded in the same instant as a
         ``clear``) still count.  Aged-out batches are *not* discarded:
-        a later, wider window still sees them (up to ``max_width``).
+        a later, wider window still sees them.
         """
         cutoff = now - self._width
         t = self._t
         n = len(t)
         c = self._cursor
-        if c > n:
-            c = n
         while c < n and t[c] <= cutoff:
             c += 1
-        head = self._head
-        while c > head and t[c - 1] > cutoff:
+        while c > 0 and t[c - 1] > cutoff:
             c -= 1
         self._cursor = c
         return self._cum[n] - self._cum[c]
@@ -350,8 +301,6 @@ class SlidingWindowCounter:
             times = times.tolist()
         self._t.extend(times)
         cum.extend(range(base + 1, base + k + 1))
-        if self._max_width is not None:
-            self._prune(times[-1])
 
     def quote_record_run(self, times) -> List[int]:
         """Per-row window counts for a run of joins, then record them.
@@ -384,8 +333,6 @@ class SlidingWindowCounter:
                 append_count(count(now))
                 append_t(now)
                 append_cum(cum[-1] + 1)
-            if self._max_width is not None:
-                self._prune(times[-1])
             return counts
         return self._quote_record_vector(times, k)
 
@@ -396,20 +343,13 @@ class SlidingWindowCounter:
         t_list = self._t
         cum = self._cum
         n = len(t_list)
-        # Move the cursor to the first batch inside row 0's window; only
-        # the tail slice from there on can fall inside any row's window
-        # (cutoffs are non-decreasing), so the numpy conversion below is
-        # proportional to the window content, not the history.
+        # count() at row 0 moves the cursor to the first batch inside
+        # row 0's window; only the tail slice from there on can fall
+        # inside any row's window (cutoffs are non-decreasing), so the
+        # numpy conversion below is proportional to the window content,
+        # not the history.
+        self.count(times[0])
         c = self._cursor
-        if c > n:
-            c = n
-        cut0 = float(cutoffs[0])
-        while c < n and t_list[c] <= cut0:
-            c += 1
-        head = self._head
-        while c > head and t_list[c - 1] > cut0:
-            c -= 1
-        self._cursor = c
         prior = np.asarray(t_list[c:n], dtype=np.float64)
         prior_cum = np.asarray(cum[c : n + 1], dtype=np.int64)
         # All prior batches are at or before t[0] (the caller routed
@@ -424,8 +364,6 @@ class SlidingWindowCounter:
         base = cum[-1]
         t_list.extend(times)
         cum.extend(range(base + 1, base + k + 1))
-        if self._max_width is not None:
-            self._prune(times[-1])
         return counts.tolist()
 
 

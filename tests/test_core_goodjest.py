@@ -152,7 +152,7 @@ def test_apply_deferred_without_pending_is_noop():
 
 def test_zero_length_interval_guarded():
     population = make_population(n0=24)
-    estimator = GoodJEst(population, min_interval_length=1e-9)
+    estimator = GoodJEst(population)
     estimator.initialize(now=0.0)
     population.bad_join(18)  # same instant as initialization
     estimator.on_event(0.0)
@@ -160,8 +160,57 @@ def test_zero_length_interval_guarded():
     assert estimator.estimate < float("inf")
 
 
+#: The ablations' GoodJEst thresholds, plus 1.0, where no run of joins
+#: can ever trip.
+THRESHOLDS = [1.0 / 4.0, 5.0 / 12.0, 1.0 / 2.0, 1.0]
+
+
+def started_interval(threshold, n0):
+    """A fresh interval whose symmetric difference is already nonzero."""
+    population = make_population(n0=n0)
+    estimator = GoodJEst(population, threshold=threshold)
+    estimator.initialize(now=0.0)
+    population.bad_join(int(threshold * n0 / 2))
+    assert estimator.on_event(0.5) is False
+    return population, estimator
+
+
 class TestTripDistances:
     """Closed-form trip bounds drive Ergo's chunked batch hooks."""
+
+    @pytest.mark.parametrize("n0", [12, 40, 97])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_joins_trip_exactly_at_bound(self, threshold, n0):
+        population, estimator = started_interval(threshold, n0)
+        for round_no in range(3):
+            now = float(round_no + 1)
+            k = estimator.joins_until_update()
+            if threshold >= 1.0:
+                assert k > 1 << 60
+                for _ in range(3 * n0):
+                    join_new(population)
+                    assert estimator.on_event(now) is False
+                return
+            for _ in range(k - 1):
+                join_new(population)
+                assert estimator.on_event(now) is False
+            join_new(population)
+            assert estimator.on_event(now) is True
+
+    @pytest.mark.parametrize("n0", [12, 40, 97])
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_departure_bound_is_tight(self, threshold, n0):
+        """A snapshot member leaving is the worst case the bound assumes
+        (difference +1, size -1), so such a run trips exactly at it."""
+        population, estimator = started_interval(threshold, n0)
+        bound = estimator.departures_until_update_bound()
+        victims = population.good.good_ids()
+        assert bound <= len(victims)
+        for ident in victims[: bound - 1]:
+            population.good_depart(ident)
+            assert estimator.on_event(1.0) is False
+        population.good_depart(victims[bound - 1])
+        assert estimator.on_event(1.0) is True
 
     def test_joins_until_update_is_exact(self):
         population = make_population(n0=24)

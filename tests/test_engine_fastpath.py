@@ -21,7 +21,8 @@ from repro.baselines.remp import Remp
 from repro.baselines.sybilcontrol import SybilControl
 from repro.churn.datasets import NETWORKS
 from repro.churn.generators import smooth_trace
-from repro.core.ergo import Ergo
+from repro.core.ergo import Ergo, ErgoConfig
+from repro.core.heuristics import ergo_ch1, ergo_ch2
 from repro.core.protocol import Defense
 from repro.experiments.runner import adversary_for
 from repro.scenarios import run as scenario_run
@@ -137,6 +138,46 @@ class TestNetworkEquivalence:
             heap.counters["churn_events_fast"] + heap.counters["churn_events_heap"]
         )
         assert total_fast == total_heap
+
+
+#: Section 10.3 variants and the ablations' GoodJEst thresholds; the
+#: default-config cases above never run a deferred (Heuristic 1) update.
+HEURISTIC_VARIANTS = {
+    "ergo-ch1": ergo_ch1,
+    "ergo-ch2": ergo_ch2,
+    "symdiff": lambda: Ergo(ErgoConfig(purge_trigger="symdiff")),
+    "threshold-1/4": lambda: Ergo(ErgoConfig(goodjest_threshold=0.25)),
+    "threshold-1/2": lambda: Ergo(ErgoConfig(goodjest_threshold=0.5)),
+    "ccom-heuristic1": lambda: CCom(ErgoConfig(align_estimate_with_purge=True)),
+}
+
+
+class TestHeuristicEquivalence:
+    """Engine vs oracle for the heuristic variants on bittorrent churn,
+    where GoodJEst updates J̃ several times per run (the gnutella runs
+    above trip it zero times)."""
+
+    @pytest.mark.parametrize("t_rate", [0.0, 16.0])
+    @pytest.mark.parametrize("variant", list(HEURISTIC_VARIANTS))
+    def test_variant_matches_oracle(self, variant, t_rate):
+        results = []
+        for engine in ENGINES:
+            registry = RngRegistry(seed=5)
+            scenario = NETWORKS["bittorrent"].scenario(
+                horizon=3000.0, rng=registry.stream("churn"), n0=300
+            )
+            defense = HEURISTIC_VARIANTS[variant]()
+            sim = engine(
+                SimulationConfig(horizon=3000.0, seed=5),
+                defense,
+                scenario.events,
+                adversary=adversary_for(defense, t_rate),
+                rngs=registry,
+                initial_members=scenario.initial,
+            )
+            results.append(sim.run())
+            assert defense.goodjest.intervals
+        assert observable(results[0]) == observable(results[1])
 
 
 class TestSmoothTraceEquivalence:

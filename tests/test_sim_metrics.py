@@ -185,7 +185,7 @@ class TestSlidingWindowCounter:
         window = SlidingWindowCounter(width=10.0)
         window.record(3.0, count=4)
         window.record(3.0, count=6)
-        assert len(window._batches) == 1
+        assert len(window._t) == 1
         assert window.count(3.0) == 10
 
     def test_batch_ages_out_atomically_at_cutoff(self):
@@ -216,7 +216,7 @@ class TestSlidingWindowCounter:
         window = SlidingWindowCounter(width=5.0)
         window.record(1.0, count=0)
         assert window.count(1.0) == 0
-        assert len(window._batches) == 0
+        assert len(window._t) == 0
 
     def test_batch_record_interacts_with_floor(self):
         """A clear() mid-stream drops earlier bursts but keeps same-instant
@@ -280,29 +280,6 @@ class TestSlidingWindowWidening:
             assert window.count(float(i)) == 1  # only the newest survives
         window.set_width(50.0)
         assert window.count(19.0) == 20
-
-    def test_max_width_bounds_widening(self):
-        window = SlidingWindowCounter(width=2.0, max_width=10.0)
-        with pytest.raises(ValueError, match="max_width"):
-            window.set_width(11.0)
-        window.set_width(10.0)  # at the cap is fine
-
-    def test_max_width_narrower_than_width_rejected(self):
-        with pytest.raises(ValueError, match="narrower"):
-            SlidingWindowCounter(width=5.0, max_width=1.0)
-
-    def test_pruning_beyond_max_width_keeps_counts_exact(self):
-        window = SlidingWindowCounter(width=1.0, max_width=5.0)
-        for i in range(3000):
-            window.record(float(i))
-        # Batches older than max_width are prunable, but every width up
-        # to the cap still counts exactly.
-        window.set_width(5.0)
-        assert window.count(2999.0) == 5
-        window.set_width(1.0)
-        assert window.count(2999.0) == 1
-        # The prefix was actually compacted (memory bounded).
-        assert len(window._t) < 3000
 
     def test_clear_resets_widened_window(self):
         window = SlidingWindowCounter(width=5.0)

@@ -74,6 +74,46 @@ class TestErgoIntegration:
         assert len(purges) == defense.purge_count
         assert all(e.fields["good"] > 0 for e in purges)
 
+    @pytest.mark.parametrize("align", [False, True])
+    def test_estimate_updates_match_goodjest_intervals(self, align):
+        """One ``estimate_update`` per J̃ change, stamped with the
+        interval's end and the new estimate -- also under Heuristic 1,
+        where a trip only marks the update pending until the purge."""
+        from tests.helpers import run_small_sim
+        from repro.adversary.strategies import GreedyJoinAdversary
+        from repro.core.ergo import Ergo, ErgoConfig
+
+        def run(traced):
+            defense = Ergo(
+                ErgoConfig(
+                    purge_trigger="symdiff", align_estimate_with_purge=align
+                )
+            )
+            defense.tracer.enabled = traced
+            return run_small_sim(
+                defense,
+                adversary=GreedyJoinAdversary(rate=16.0),
+                network="bittorrent",
+                horizon=3000.0,
+                n0=300,
+                seed=5,
+            )
+
+        result, defense = run(traced=True)
+        updates = [
+            (e.time, e.fields["estimate"])
+            for e in defense.tracer.of_kind("estimate_update")
+        ]
+        intervals = [(i.end, i.estimate) for i in defense.goodjest.intervals]
+        assert len(intervals) >= 2
+        assert updates == intervals
+        # Tracing observes only: spend totals match an untraced run.
+        untraced, _ = run(traced=False)
+        assert (result.good_spend, result.adversary_spend) == (
+            untraced.good_spend,
+            untraced.adversary_spend,
+        )
+
     def test_tracing_disabled_by_default(self):
         from tests.helpers import run_small_sim
         from repro.core.ergo import Ergo
